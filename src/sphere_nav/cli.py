@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -103,11 +104,14 @@ def cmd_sweep(args) -> int:
         return EXIT_RUNTIME
     out = []
     for v in values:
-        sweep_sc = _override(sc, args.param, v)
         try:
+            if args.param == "dt":
+                sweep_sc = replace(sc, sim=replace(sc.sim, dt=v))
+            else:
+                sweep_sc = replace(sc, **{args.param: v})
             report = run_scenario(sweep_sc, parallel=args.parallel,
                                   out_dir=None, seed=args.seed)
-        except SphereNavError as exc:
+        except (SphereNavError, ValueError) as exc:
             print(f"runtime failure at {args.param}={v}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         out.append({"value": v, "n_converged": report.n_converged,
@@ -115,23 +119,6 @@ def cmd_sweep(args) -> int:
     print(json.dumps({"scenario": sc.name, "param": args.param, "sweep": out},
                      sort_keys=True, indent=2))
     return EXIT_OK
-
-
-def _override(sc, param: str, value: float):
-    import copy
-    out = copy.copy(sc)
-    if param == "kappa":
-        out.kappa = value
-    elif param == "k1":
-        out.k1 = value
-    elif param == "epsilon":
-        out.epsilon = value
-    elif param == "dt":
-        from .simulate import SimConfig
-        out.sim = SimConfig(dt=value, T=sc.sim.T,
-                            renormalize_every=sc.sim.renormalize_every,
-                            log_stride=sc.sim.log_stride)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,12 @@ Two kinds of region are supported:
   Euclidean star body (living in an affine hyperplane that avoids the
   origin) onto the sphere.
 
+Both answer the same queries, so no caller branches on the region type:
+``contains``, ``contains_interior``, ``signed_margin``, ``distance``,
+``distance_warm(x, warm) -> (signed margin, warm)``, ``distances_coarse``
+(rows of points; exact for caps), ``nearest_boundary``,
+``boundary_samples``, ``bounding`` and ``kernel_on_sphere``.
+
 Spherical distances to a region are ``d_s(x, U) = 1 - sup_{u in U} x.u``;
 for exterior points the supremum is attained on the boundary, so star
 regions answer distance queries by maximizing the dot product over the
@@ -26,7 +32,6 @@ import numpy as np
 from . import geometry as geo
 from .errors import (
     DomainError,
-    EmptyCache,
     NotStarShaped,
     OriginInsideBody,
     TargetInsideUnsafe,
@@ -57,8 +62,8 @@ class ConicCap:
         object.__setattr__(self, "axis", UnitPoint(coords_of(self.axis)))
 
     @property
-    def dimension(self) -> int:
-        return self.axis.n
+    def kernel_on_sphere(self) -> UnitPoint:
+        return self.axis
 
     def _angle(self, x) -> float:
         return float(np.arccos(np.clip(coords_of(x) @ self.axis.coords, -1.0, 1.0)))
@@ -74,17 +79,21 @@ class ConicCap:
         gap = self._angle(x) - self.xi
         return float(np.sign(gap) * (1.0 - np.cos(gap)))
 
-    def distance(self, x, refine: bool = True) -> float:
+    def distance(self, x) -> float:
         return max(0.0, self.signed_margin(x))
+
+    def distance_warm(self, x, warm):
+        """(signed margin, warm); caps need no ascent state."""
+        return self.signed_margin(x), warm
 
     def distances_raw(self, dots: np.ndarray) -> np.ndarray:
         """Vectorized unsigned distance from axis-dot values."""
         gap = np.arccos(np.clip(dots, -1.0, 1.0)) - self.xi
         return np.where(gap > 0.0, 1.0 - np.cos(gap), 0.0)
 
-    def signed_margins_raw(self, dots: np.ndarray) -> np.ndarray:
-        gap = np.arccos(np.clip(dots, -1.0, 1.0)) - self.xi
-        return np.sign(gap) * (1.0 - np.cos(gap))
+    def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
+        """Exact unsigned distances for rows of pts."""
+        return self.distances_raw(pts @ self.axis.coords)
 
     def nearest_boundary(self, x) -> np.ndarray:
         """Boundary point of the cap closest to x (any one, on ties)."""
@@ -122,8 +131,6 @@ class PowerSumProfile:
     anchor and all exponents agree, bisection otherwise).
     """
 
-    kind = "implicit-radial"
-
     def __init__(self, exponents, level: float):
         self.exponents = np.asarray(exponents, dtype=float)
         self.level = float(level)
@@ -136,14 +143,20 @@ class PowerSumProfile:
         s = np.atleast_2d(s)
         return (np.abs(s) ** self.exponents).sum(axis=1) - self.level
 
-    def radius_about(self, kernel_s: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        dirs = np.atleast_2d(dirs)
+    def radius_fn(self, kernel_s: np.ndarray):
+        """Direction rows -> boundary radius about kernel_s, dispatched once."""
+        if self.exponents.size != kernel_s.size:
+            raise DomainError("power-sum profile needs one exponent per body coordinate")
         if self._equal_e is not None and float(kernel_s @ kernel_s) < 1e-28:
             e = self._equal_e
-            pw = (np.abs(dirs) ** e).sum(axis=1)
-            pw = np.maximum(pw, 1e-300)
-            return (self.level / pw) ** (1.0 / e)
-        return _radial_bisection(self.implicit, kernel_s, dirs)
+            inv_e = 1.0 / e
+            level = self.level
+
+            def rho(dirs):
+                pw = np.maximum((np.abs(dirs) ** e).sum(axis=1), 1e-300)
+                return (level / pw) ** inv_e
+            return rho
+        return lambda dirs: _radial_bisection(self.implicit, kernel_s, dirs)
 
     def max_radius(self) -> float:
         """Exact sup of the boundary radius over all directions.
@@ -174,8 +187,6 @@ class RadialTableProfile:
     intermediate angles interpolate linearly and periodically.
     """
 
-    kind = "radial-table"
-
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 8:
@@ -183,25 +194,19 @@ class RadialTableProfile:
         if np.any(self.values <= 0):
             raise DomainError("radial table values must be positive")
 
-    def radius_about(self, kernel_s: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        dirs = np.atleast_2d(dirs)
-        if dirs.shape[1] != 2:
+    def radius_fn(self, kernel_s: np.ndarray):
+        """Direction rows -> tabulated radius; the table is already about the kernel."""
+        if kernel_s.size != 2:
             raise DomainError("radial-table profiles are planar (k = 2)")
+        return self._radius
+
+    def _radius(self, dirs: np.ndarray) -> np.ndarray:
         phi = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
         m = self.values.size
         pos = phi * m / (2.0 * np.pi)
         j = np.floor(pos).astype(int) % m
         frac = pos - np.floor(pos)
         return (1.0 - frac) * self.values[j] + frac * self.values[(j + 1) % m]
-
-    def implicit(self, s: np.ndarray) -> np.ndarray:
-        s = np.atleast_2d(s)
-        r = np.linalg.norm(s, axis=1)
-        safe = np.where(r > 1e-15, r, 1.0)
-        dirs = np.where(r[:, None] > 1e-15, s / safe[:, None],
-                        np.array([1.0, 0.0]))
-        rho = self.radius_about(np.zeros(2), dirs)
-        return r - rho
 
     def max_radius(self) -> float:
         return float(self.values.max())
@@ -213,8 +218,7 @@ class RadialTableProfile:
         return np.array([[np.cos(phi), np.sin(phi)]])
 
 
-def _radial_bisection(implicit, kernel_s: np.ndarray, dirs: np.ndarray,
-                      iters: int = 80) -> np.ndarray:
+def _radial_bisection(implicit, kernel_s: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Solve implicit(kernel + t*dir) = 0 along each ray by bisection."""
     m = dirs.shape[0]
     lo = np.zeros(m)
@@ -226,7 +230,7 @@ def _radial_bisection(implicit, kernel_s: np.ndarray, dirs: np.ndarray,
             break
         lo[inside] = hi[inside]
         hi[inside] *= 2.0
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         inside = implicit(kernel_s + mid[:, None] * dirs) <= 0.0
         lo = np.where(inside, mid, lo)
@@ -260,6 +264,9 @@ class EuclideanStarBody:
         off = self.kernel_point - self.anchor
         if np.linalg.norm(off - self.basis @ (self.basis.T @ off)) > 1e-9:
             raise DomainError("kernel point must lie in the body hyperplane")
+        self.kernel_s = self.basis.T @ off
+        # direction rows -> boundary radius about the kernel
+        self.radius = self.profile.radius_fn(self.kernel_s)
 
     @property
     def k(self) -> int:
@@ -271,20 +278,12 @@ class EuclideanStarBody:
         n = q[:, -1]
         return n if n @ self.anchor >= 0 else -n
 
-    @property
-    def kernel_s(self) -> np.ndarray:
-        return self.basis.T @ (self.kernel_point - self.anchor)
-
-    def to_body(self, y: np.ndarray) -> np.ndarray:
-        return self.basis.T @ (y - self.anchor)
-
     def lift(self, s: np.ndarray) -> np.ndarray:
         return self.anchor + np.atleast_2d(s) @ self.basis.T
 
     def boundary_body(self, dirs: np.ndarray) -> np.ndarray:
         dirs = np.atleast_2d(dirs)
-        rho = self.profile.radius_about(self.kernel_s, dirs)
-        return self.kernel_s + rho[:, None] * dirs
+        return self.kernel_s + self.radius(dirs)[:, None] * dirs
 
     def contains_s(self, s: np.ndarray, slack: float = 0.0) -> np.ndarray:
         s = np.atleast_2d(s)
@@ -294,8 +293,7 @@ class EuclideanStarBody:
         unit0[0] = 1.0
         dirs = np.where(r[:, None] > 1e-15, rel / np.where(r > 1e-15, r, 1.0)[:, None],
                         unit0)
-        rho = self.profile.radius_about(self.kernel_s, dirs)
-        return r <= rho + slack
+        return r <= self.radius(dirs) + slack
 
 
 def complete_basis(normal: np.ndarray) -> np.ndarray:
@@ -305,19 +303,7 @@ def complete_basis(normal: np.ndarray) -> np.ndarray:
     result is reproducible across runs, which the tabulated profiles rely on.
     """
     n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    cols = [n]
-    m = n.size
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        v = e - sum((e @ c) * c for c in cols)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            cols.append(v / nrm)
-        if len(cols) == m:
-            break
-    return np.column_stack(cols[1:])
+    return geo.tangent_basis(n / np.linalg.norm(n))
 
 
 def _direction_grid(k: int, count: int) -> np.ndarray:
@@ -344,32 +330,33 @@ def _direction_grid(k: int, count: int) -> np.ndarray:
 class ProjectedStarShape:
     """Radial projection of a Euclidean star body onto S^n.
 
-    Construction caches the projected boundary; use :func:`build_projected_star`
-    which also runs the geometric sanity checks.
+    Construction caches the projected boundary (a direction grid plus the
+    profile's extremal directions); use :func:`build_projected_star`, which
+    also runs the geometric sanity checks.
     """
 
     def __init__(self, body: EuclideanStarBody, resolution: int):
         self.body = body
         self.resolution = int(resolution)
-        self.cache_dirs: np.ndarray | None = None
-        self.cache_sphere: np.ndarray | None = None
-        self.cache_ambient: np.ndarray | None = None
         self.kernel_on_sphere: UnitPoint = geo.normalize(body.kernel_point)
         self._normal = body.normal
         self._offset = float(self._normal @ body.anchor)
         self._anchor = body.anchor
         self._basisT = np.ascontiguousarray(body.basis.T)
         self._kernel_s = body.kernel_s
-        self._rho = self._make_rho()
+        self._rho = body.radius
         self._seed_dirs = body.profile.extremal_dirs(body.k)
-        self._step0 = (2.0 * np.pi / self.resolution if body.k == 2
-                       else 2.4 * np.sqrt(4.0 * np.pi / self.resolution))
         self._bound_center = self.kernel_on_sphere.coords
         self._bound_angle = self._reach_angle()
 
-    @property
-    def dimension(self) -> int:
-        return self.body.anchor.size - 1
+        dirs = np.vstack([_direction_grid(body.k, self.resolution), self._seed_dirs])
+        amb = body.lift(body.boundary_body(dirs))
+        norms = np.linalg.norm(amb, axis=1)
+        if norms.min() <= 1e-6:
+            raise OriginInsideBody("projected boundary passes through the origin")
+        self.cache_dirs = dirs
+        self.cache_ambient = amb
+        self.cache_sphere = amb / norms[:, None]
 
     def _reach_angle(self) -> float:
         """Sound bound on the angle between any region point and the kernel image.
@@ -391,25 +378,6 @@ class ProjectedStarShape:
         worst = float(np.arccos(np.clip(cosang.min(), -1.0, 1.0)))
         return min(np.pi, worst + 1e-3)
 
-    # -- construction -------------------------------------------------------
-
-    def _build_cache(self):
-        dirs = np.vstack([_direction_grid(self.body.k, self.resolution),
-                          self._seed_dirs])
-        bd = self.body.boundary_body(dirs)
-        amb = self.body.lift(bd)
-        norms = np.linalg.norm(amb, axis=1)
-        if norms.min() <= 1e-6:
-            raise OriginInsideBody("projected boundary passes through the origin")
-        self.cache_dirs = dirs
-        self.cache_ambient = amb
-        self.cache_sphere = amb / norms[:, None]
-
-    def _require_cache(self) -> np.ndarray:
-        if self.cache_sphere is None:
-            raise EmptyCache("boundary cache not built")
-        return self.cache_sphere
-
     # -- membership ---------------------------------------------------------
 
     def _ray_body_coords(self, x: np.ndarray):
@@ -430,10 +398,8 @@ class ProjectedStarShape:
         rel = s - self._kernel_s
         r = float(np.linalg.norm(rel))
         if r < 1e-15:
-            return -float(self.body.profile.radius_about(self._kernel_s,
-                                                         self._seed_dirs[:1])[0]), 1.0
-        rho = float(self.body.profile.radius_about(self._kernel_s,
-                                                   rel[None, :] / r)[0])
+            return -float(self._rho(self._seed_dirs[:1])[0]), 1.0
+        rho = float(self._rho(rel[None, :] / r)[0])
         hit = self._anchor + self._basisT.T @ s
         return r - rho, float(np.linalg.norm(hit))
 
@@ -457,16 +423,22 @@ class ProjectedStarShape:
         s = (hits - self._anchor) @ self._basisT.T
         rel = s - self._kernel_s
         r = np.sqrt((rel * rel).sum(axis=1))
-        safe = np.maximum(r, 1e-300)
-        rho = self._rho(rel / safe[:, None])
+        # a ray through the kernel itself takes the first seed direction
+        away = r > 1e-15
+        dirs = np.where(away[:, None], rel / np.where(away, r, 1.0)[:, None],
+                        self._seed_dirs[0])
+        rho = self._rho(dirs)
         hit_norm = np.sqrt((hits * hits).sum(axis=1))
         slack = np.sqrt(max(2.0 * tol, 0.0)) * hit_norm * 4.0 + 1e-12
-        inside = ok & ((r <= rho + slack) | (r < 1e-15))
-        return inside
+        return ok & (r <= rho + slack)
 
     def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
         """Cache-resolution distances for rows of pts (zero where contained)."""
-        d = 1.0 - (pts @ self._require_cache().T).max(axis=1)
+        # row blocks keep the (rows x cache) dot table near 1 MB
+        best = np.empty(pts.shape[0])
+        for a in range(0, pts.shape[0], 64):
+            best[a:a + 64] = (pts[a:a + 64] @ self.cache_sphere.T).max(axis=1)
+        d = 1.0 - best
         d[self.contains_many(pts)] = 0.0
         return d
 
@@ -479,21 +451,6 @@ class ProjectedStarShape:
 
     # -- boundary-dot maximization (distance queries) ------------------------
 
-    def _make_rho(self):
-        """Direction -> boundary radius closure without per-call dispatch."""
-        profile = self.body.profile
-        kernel_s = self._kernel_s
-        if isinstance(profile, PowerSumProfile) and profile._equal_e is not None \
-                and float(kernel_s @ kernel_s) < 1e-28:
-            e = profile._equal_e
-            inv_e = 1.0 / e
-            level = profile.level
-            def rho(dirs):
-                pw = np.maximum((np.abs(dirs) ** e).sum(axis=1), 1e-300)
-                return (level / pw) ** inv_e
-            return rho
-        return lambda dirs: profile.radius_about(kernel_s, dirs)
-
     def _objective(self, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         rho = self._rho(dirs)
         pts = self._anchor + (self._kernel_s + rho[:, None] * dirs) @ self._basisT
@@ -505,10 +462,6 @@ class ProjectedStarShape:
             return np.array([[-d[1], d[0]]])
         t1, t2 = _plane_tangents(d)
         return np.vstack([t1, t2])
-
-    def _refine_warm(self, x: np.ndarray, warm: np.ndarray):
-        """Polish-only fast path; callers certify the result against the cache."""
-        return self._polish(x, warm, h=1e-4, bail_if_flat=True)
 
     def _lift_chart(self, d: np.ndarray, T: np.ndarray, pts2: np.ndarray) -> np.ndarray:
         cand = d[None, :] + pts2 @ T
@@ -627,8 +580,7 @@ class ProjectedStarShape:
                 break
         return picked
 
-    def max_boundary_dot(self, x, refine: bool = True,
-                         warm: np.ndarray | None = None):
+    def max_boundary_dot(self, x, warm: np.ndarray | None = None):
         """(best dot, best direction); the distance is 1 - best dot.
 
         The coarse cache (which includes the profile's spike directions)
@@ -636,14 +588,11 @@ class ProjectedStarShape:
         when it reaches the coarse maximum, otherwise the cold seeds run.
         """
         xc = coords_of(x)
-        sphere = self._require_cache()
-        dots = sphere @ xc
+        dots = self.cache_sphere @ xc
         i0 = int(np.argmax(dots))
         coarse_best, coarse_dir = float(dots[i0]), self.cache_dirs[i0]
-        if not refine:
-            return coarse_best, coarse_dir
         if warm is not None:
-            val, d = self._refine_warm(xc, warm)
+            val, d = self._polish(xc, warm, h=1e-4, bail_if_flat=True)
             if val >= coarse_best - 1e-12:
                 return val, d
         best, bdir = coarse_best, coarse_dir
@@ -653,47 +602,43 @@ class ProjectedStarShape:
                 best, bdir = val, d
         return best, bdir
 
-    def distance(self, x, refine: bool = True) -> float:
+    def distance(self, x) -> float:
         """d_s(x, U); zero inside, refined boundary maximum outside."""
         if self.contains(x):
             return 0.0
-        best, _ = self.max_boundary_dot(x, refine=refine)
+        best, _ = self.max_boundary_dot(x)
         return 1.0 - best
 
     def distance_warm(self, x: np.ndarray, warm: np.ndarray | None):
         """(signed margin, argmax direction) with a warm-started ascent.
 
-        The warm direction only adds an ascent seed; cold seeds (coarse cache
-        argmax and profile extremal directions) always run as well, so the
-        value never falls below the cold query's.
+        An accepted warm polish skips the cold seeds, so the value can differ
+        from the cold query's; it never falls below the coarse cache maximum.
         """
-        best, bdir = self.max_boundary_dot(x, refine=True, warm=warm)
+        best, bdir = self.max_boundary_dot(x, warm=warm)
         m = 1.0 - best
         return (-m if self.contains(x) else m), bdir
 
     def signed_margin(self, x) -> float:
         """Distance to the boundary, negative when inside the region."""
-        best, _ = self.max_boundary_dot(x, refine=True)
+        best, _ = self.max_boundary_dot(x)
         m = 1.0 - best
         return -m if self.contains(x) else m
 
-    def nearest_boundary(self, x):
-        """Refined nearest boundary point with a tie flag for distinct argmaxes."""
+    def nearest_boundary(self, x) -> np.ndarray:
+        """Refined nearest boundary point (the first of equal maxima)."""
         xc = coords_of(x)
-        dots = self._require_cache() @ xc
-        results = []
+        dots = self.cache_sphere @ xc
+        best, bdir = -np.inf, None
         for d0 in self._seed_candidates(xc, dots):
             val, d = self._refine_from(xc, d0)
-            bd = self.body.boundary_body(d[None, :])
-            amb = self.body.lift(bd)[0]
-            results.append((val, amb / np.linalg.norm(amb), d))
-        results.sort(key=lambda r: -r[0])
-        tie = len(results) > 1 and abs(results[0][0] - results[1][0]) < 1e-9 \
-            and float(results[0][2] @ results[1][2]) < 1.0 - 1e-6
-        return results[0][1], results[0][0], tie
+            if val > best:
+                best, bdir = val, d
+        amb = self.body.lift(self.body.boundary_body(bdir[None, :]))[0]
+        return amb / np.linalg.norm(amb)
 
     def boundary_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        sphere = self._require_cache()
+        sphere = self.cache_sphere
         idx = rng.choice(sphere.shape[0], size=min(count, sphere.shape[0]),
                          replace=False)
         return sphere[idx]
@@ -718,9 +663,7 @@ def _plane_tangents(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def build_projected_star(body: EuclideanStarBody, resolution: int,
-                         self_test: bool = True,
-                         rng: np.random.Generator | None = None) -> ProjectedStarShape:
+def build_projected_star(body: EuclideanStarBody, resolution: int) -> ProjectedStarShape:
     """Project a Euclidean star body onto the sphere and certify the build.
 
     Raises OriginInsideBody when a kernel-to-boundary segment meets the
@@ -728,8 +671,6 @@ def build_projected_star(body: EuclideanStarBody, resolution: int,
     light projected-chords-land-on-geodesics self check.
     """
     shape = ProjectedStarShape(body, resolution)
-    shape._build_cache()
-    rng = rng or np.random.default_rng(0)
 
     # kernel-to-boundary segments: origin clearance (exact point-to-segment
     # distances) and star-shapedness (sampled along the segments)
@@ -750,8 +691,7 @@ def build_projected_star(body: EuclideanStarBody, resolution: int,
     if not bool(np.all(inside)):
         raise NotStarShaped("kernel-to-boundary segment leaves the body")
 
-    if self_test:
-        _projection_self_test(shape, rng)
+    _projection_self_test(shape, np.random.default_rng(0))
     return shape
 
 
@@ -789,14 +729,15 @@ class ConstraintArrangement:
 
     def __init__(self, sets, kernels=None, delta_declared: float | None = None):
         self.sets: list[ConstraintSet] = list(sets)
-        if kernels is None:
-            kernels = [default_kernel(s) for s in self.sets]
-        self.kernels: list[UnitPoint] = [
-            k if isinstance(k, UnitPoint) else UnitPoint(coords_of(k))
-            for k in kernels
-        ]
-        if len(self.kernels) != len(self.sets):
+        kernels = [None] * len(self.sets) if kernels is None else list(kernels)
+        if len(kernels) != len(self.sets):
             raise DomainError("one kernel per constraint set is required")
+        # a None kernel is the region's own kernel point
+        self.kernels: list[UnitPoint] = [
+            s.kernel_on_sphere if k is None
+            else k if isinstance(k, UnitPoint) else UnitPoint(coords_of(k))
+            for s, k in zip(self.sets, kernels)
+        ]
         self.delta_declared = delta_declared
         self._delta_measured: float | None = None
 
@@ -807,35 +748,19 @@ class ConstraintArrangement:
     def dimension(self) -> int:
         return self.kernels[0].n if self.kernels else 0
 
-    def distances(self, x, refine: bool = True) -> np.ndarray:
+    def distances(self, x) -> np.ndarray:
         xc = coords_of(x)
-        return np.array([s.distance(xc, refine=refine) for s in self.sets])
+        return np.array([s.distance(xc) for s in self.sets])
 
     def signed_margins(self, x) -> np.ndarray:
         xc = coords_of(x)
         return np.array([s.signed_margin(xc) for s in self.sets])
-
-    def signed_margin_union(self, x) -> float:
-        return float(self.signed_margins(x).min())
-
-    def distance_to_union(self, x) -> float:
-        return float(self.distances(x).min())
-
-    def contains_interior(self, x) -> bool:
-        xc = coords_of(x)
-        return any(s.contains_interior(xc) for s in self.sets)
 
     def delta_measured(self, samples: int = 400, seed: int = 0) -> float:
         if self._delta_measured is None:
             self._delta_measured = pairwise_separation(self, samples=samples,
                                                        seed=seed)
         return self._delta_measured
-
-
-def default_kernel(s: ConstraintSet) -> UnitPoint:
-    if isinstance(s, ConicCap):
-        return s.axis
-    return s.kernel_on_sphere
 
 
 # ---------------------------------------------------------------------------
@@ -869,12 +794,6 @@ def suggest_epsilon(arr: ConstraintArrangement, x_d,
 # pairwise separation
 # ---------------------------------------------------------------------------
 
-def nearest_boundary_point(s: ConstraintSet, y: np.ndarray) -> np.ndarray:
-    if isinstance(s, ConicCap):
-        return s.nearest_boundary(y)
-    return s.nearest_boundary(y)[0]
-
-
 def pairwise_separation(arr: ConstraintArrangement, samples: int = 400,
                         seed: int = 0) -> float:
     """min over i != j of d_s(U_i, U_j), by cross-sampling plus alternating refinement.
@@ -898,8 +817,8 @@ def pairwise_separation(arr: ConstraintArrangement, samples: int = 400,
             a, b = pa[ia], pb[ib]
             d = 1.0 - float(a @ b)
             for _ in range(80):
-                a = nearest_boundary_point(a_set, b)
-                b = nearest_boundary_point(b_set, a)
+                a = a_set.nearest_boundary(b)
+                b = b_set.nearest_boundary(a)
                 d_new = 1.0 - float(a @ b)
                 if d - d_new < 1e-13:
                     d = min(d, d_new)
@@ -932,11 +851,6 @@ class KernelReport:
     antipode_margin: float
     sigma_worst: float
     reverse_worst: float
-
-    @property
-    def worst_margin(self) -> float:
-        return min(self.interior_margin, self.antipode_margin,
-                   self.sigma_worst, self.reverse_worst)
 
 
 def _penetration_tol_ok(s: ConstraintSet, p, tol: float, want_inside: bool) -> bool:
@@ -1028,12 +942,14 @@ def is_attracting_index(arr: ConstraintArrangement, i: int, x_d, eps: float) -> 
 
 
 def _ray_hits_dilation(s: ConstraintSet, base: np.ndarray, w: np.ndarray,
-                       t_lo: float, eps: float, step: float = 1e-3):
+                       t_lo: float, eps: float):
     """First t in [t_lo, pi) where the great-circle ray enters D_eps(U).
 
-    Returns the crossing parameter (bisection-refined) or None.  A bounding
-    prefilter skips rays whose full circle stays clear of the dilation.
+    Marches in steps of 1e-3 and returns the crossing parameter
+    (bisection-refined) or None.  A bounding prefilter skips rays whose full
+    circle stays clear of the dilation.
     """
+    step = 1e-3
     center, radius = s.bounding()
     reach = min(np.pi, radius + geo.angle_from_distance(eps))
     rc = float(np.hypot(center @ base, center @ w))
@@ -1055,10 +971,8 @@ def _ray_hits_dilation(s: ConstraintSet, base: np.ndarray, w: np.ndarray,
 
     def dist_at(ts: np.ndarray) -> np.ndarray:
         pts = np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)
-        if isinstance(s, ConicCap):
-            return s.distances_raw(pts @ s.axis.coords)
         if pts.shape[0] <= 4:
-            return np.array([s.distance(p, refine=True) for p in pts])
+            return np.array([s.distance(p) for p in pts])
         # marching pass: cache-resolution distances (the cache includes the
         # profile spikes, so the blur is the smooth-boundary sampling gap)
         return s.distances_coarse(pts)
@@ -1086,7 +1000,7 @@ def _ray_hits_dilation(s: ConstraintSet, base: np.ndarray, w: np.ndarray,
 
 
 def region_membership(x, i: int, arr: ConstraintArrangement, x_d,
-                      eps: float, ray_step: float = 1e-3) -> bool:
+                      eps: float) -> bool:
     """Is x inside the shadow region of constraint i as seen from the target?
 
     For constraints whose dilation excludes -x_d: x must avoid the region
@@ -1114,7 +1028,7 @@ def region_membership(x, i: int, arr: ConstraintArrangement, x_d,
         return False
     w = xc - (xc @ base) * base
     w = w / np.linalg.norm(w)
-    hit = _ray_hits_dilation(s, base, w, t_x - 1e-12, eps, step=ray_step)
+    hit = _ray_hits_dilation(s, base, w, t_x - 1e-12, eps)
     return hit is not None
 
 

@@ -168,19 +168,15 @@ class StarPiecewiseController:
         self.kernels = np.array([g.coords for g in arr.kernels]) \
             if arr.kernels else np.zeros((0, self.x_d.size))
         self._bounds = [s.bounding() for s in arr.sets]
-        # warm ascent seeds per star set; results never depend on their
-        # presence (cold seeds always run too), they only speed refinement up
+        # warm ascent seeds per region; an accepted warm polish skips the
+        # cold seeds, so integrate() clears them at the start of every run
         self._warm: dict[int, np.ndarray] = {}
 
     def reset_eval_cache(self):
         self._warm.clear()
 
     def _signed_margin_set(self, i: int, x: np.ndarray) -> float:
-        s = self.arr.sets[i]
-        if isinstance(s, ConicCap):
-            return s.signed_margin(x)
-        margin, argdir = s.distance_warm(x, self._warm.get(i))
-        self._warm[i] = argdir
+        margin, self._warm[i] = self.arr.sets[i].distance_warm(x, self._warm.get(i))
         return margin
 
     def _candidates(self, x: np.ndarray, slack: float) -> list[int]:
@@ -325,14 +321,11 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float,
         if g.dot(xd) <= -1.0 + 1e-12:
             raise KernelAntipodalToTarget(f"kernel {i} is antipodal to the target")
         pts = geo.slerp_many(xd, g.antipode(), lams)
-        if isinstance(s, ConicCap):
-            d = s.distances_raw(pts @ s.axis.coords)
-        else:
-            # coarse pass over the whole arc, refine only near-band points;
-            # the slack covers the coarse cache gap away from the seeded spikes
-            d = np.array([s.distance(p, refine=False) for p in pts])
-            for j in np.nonzero(d <= epsilon + 2e-2)[0]:
-                d[j] = s.distance(pts[j], refine=True)
+        # coarse pass over the whole arc, refine only near-band points;
+        # the slack covers the coarse cache gap away from the seeded spikes
+        d = s.distances_coarse(pts)
+        for j in np.nonzero(d <= epsilon + 2e-2)[0]:
+            d[j] = s.distance(pts[j])
         mask = d <= epsilon
         if not mask.any():
             per.append(KappaPerSet(i, 0.0, float("nan"), float("nan")))

@@ -17,10 +17,6 @@ class DomainError(SphereNavError):
     """Scalar argument outside the documented domain."""
 
 
-class EmptyCache(SphereNavError):
-    """Distance query against a star shape whose boundary cache was not built."""
-
-
 class OriginInsideBody(SphereNavError):
     """Euclidean star body contains the origin; radial projection is undefined."""
 

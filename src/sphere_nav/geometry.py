@@ -99,11 +99,6 @@ def project_to_tangent(x, a) -> TangentVector:
     return TangentVector(UnitPoint(xc), vec)
 
 
-def tangent_component(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Raw (I - xx^T)a without wrapping; hot-path helper."""
-    return a - (x @ a) * x
-
-
 def spherical_distance(x, y) -> float:
     """d_s(x, y) = 1 - x.y; 0 at coincidence, 2 at the antipode."""
     return 1.0 - float(coords_of(x) @ coords_of(y))
@@ -176,9 +171,6 @@ class GreatCircleArc:
     @property
     def theta(self) -> float:
         return float(np.arccos(np.clip(self.a.dot(self.b), -1.0, 1.0)))
-
-    def point_at(self, lam: float) -> UnitPoint:
-        return slerp(self.a, self.b, lam)
 
     def points(self, lams: np.ndarray) -> np.ndarray:
         return slerp_many(self.a, self.b, lams)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -133,17 +133,24 @@ def _unit_or_violation(vec, what: str, dim: int, violations: list[str]):
     return arr / nrm
 
 
-def _parse_profile(block: dict, violations: list[str]):
+def _parse_profile(block: dict, what: str, violations: list[str]):
     kind = block.get("kind")
-    if kind == "implicit-radial":
-        form = block.get("form", "power-sum")
-        if form != "power-sum":
-            violations.append(f"profile: unknown implicit form {form!r}")
-            return None
-        return PowerSumProfile(block["exponents"], block["level"])
-    if kind == "radial-table":
-        return RadialTableProfile(block["values"])
-    violations.append(f"profile: unknown kind {kind!r}")
+    try:
+        if kind == "implicit-radial":
+            form = block.get("form", "power-sum")
+            if form != "power-sum":
+                violations.append(f"{what}: unknown implicit form {form!r}")
+                return None
+            return PowerSumProfile(block["exponents"], block["level"])
+        if kind == "radial-table":
+            return RadialTableProfile(block["values"])
+    except KeyError as exc:
+        violations.append(f"{what}: missing {exc}")
+        return None
+    except (SphereNavError, TypeError, ValueError) as exc:
+        violations.append(f"{what}: {exc}")
+        return None
+    violations.append(f"{what}: unknown kind {kind!r}")
     return None
 
 
@@ -154,20 +161,24 @@ def _parse_constraint(block: dict, dim: int, index: int,
     if ctype == "cap":
         axis = _unit_or_violation(block.get("axis"), f"{what}.axis", dim,
                                   violations)
-        xi = block.get("xi")
-        if xi is None or not 0.0 <= float(xi) < np.pi:
+        try:
+            xi = float(block["xi"])
+        except (KeyError, TypeError, ValueError):
+            xi = None
+        if xi is None or not 0.0 <= xi < np.pi:
             violations.append(f"{what}.xi must be in [0, pi)")
             return None, None
         if axis is None:
             return None, None
-        return ConicCap(UnitPoint(axis), float(xi)), None
+        return ConicCap(UnitPoint(axis), xi), None
     if ctype == "star":
         anchor = np.asarray(block.get("anchor"), dtype=float)
         if anchor.shape != (dim + 1,):
             violations.append(f"{what}.anchor: expected {dim + 1} coordinates")
             return None, None
         kernel = np.asarray(block.get("kernel", anchor), dtype=float)
-        profile = _parse_profile(block.get("profile", {}), violations)
+        profile = _parse_profile(block.get("profile", {}), f"{what}.profile",
+                                 violations)
         if profile is None:
             return None, None
         normal = np.asarray(block.get("normal", anchor), dtype=float)
@@ -182,10 +193,11 @@ def _parse_constraint(block: dict, dim: int, index: int,
         except SphereNavError as exc:
             violations.append(f"{what}: {exc}")
             return None, None
-        explicit_kernel = block.get("kernel_on_sphere")
-        gk = shape.kernel_on_sphere if explicit_kernel is None \
-            else UnitPoint(np.asarray(explicit_kernel, dtype=float))
-        return shape, gk
+        if block.get("kernel_on_sphere") is None:
+            return shape, None
+        gk = _unit_or_violation(block["kernel_on_sphere"],
+                                f"{what}.kernel_on_sphere", dim, violations)
+        return (None, None) if gk is None else (shape, gk)
     violations.append(f"{what}.type must be 'cap' or 'star'")
     return None, None
 
@@ -216,21 +228,15 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
 
     target = _unit_or_violation(doc.get("target"), "target", dim, violations)
 
+    blocks = doc.get("constraints", [])
+    if not blocks:
+        violations.append("constraints: at least one region is required")
     sets, kernels = [], []
-    for i, block in enumerate(doc.get("constraints", [])):
+    for i, block in enumerate(blocks):
         s, gk = _parse_constraint(block, dim, i, violations)
         if s is not None:
             sets.append(s)
-            kernels.append(gk if gk is not None else None)
-    kernels = [k if k is not None else None for k in kernels]
-    resolved_kernels = []
-    for s, k in zip(sets, kernels):
-        if k is not None:
-            resolved_kernels.append(k)
-        elif isinstance(s, ConicCap):
-            resolved_kernels.append(s.axis)
-        else:
-            resolved_kernels.append(s.kernel_on_sphere)
+            kernels.append(gk)
 
     ctrl = doc.get("controller", {})
     law = ctrl.get("law")
@@ -250,13 +256,12 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     try:
         sim = SimConfig(dt=float(sim_block.get("dt", 1e-3)),
                         T=float(sim_block.get("T", 30.0)),
-                        renormalize_every=int(sim_block.get("renormalize_every", 1)),
                         log_stride=int(sim_block.get("log_stride", 1)))
     except ValueError as exc:
         violations.append(f"sim: {exc}")
         sim = SimConfig()
 
-    arrangement = ConstraintArrangement(sets, resolved_kernels,
+    arrangement = ConstraintArrangement(sets, kernels,
                                         delta_declared=doc.get("delta"))
 
     if target is not None and sets:
@@ -352,24 +357,7 @@ class ValidationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "delta_declared": self.delta_declared,
-            "delta_measured": self.delta_measured,
-            "phi_delta": self.phi_delta,
-            "eps_bar": self.eps_bar,
-            "epsilon": self.epsilon,
-            "epsilon_suggested": self.epsilon_suggested,
-            "kappa_bar": self.kappa_bar,
-            "kappa_recommended": self.kappa_recommended,
-            "kappa_configured": self.kappa_configured,
-            "kernel_ok": self.kernel_ok,
-            "kernel_codes": self.kernel_codes,
-            "regions_disjoint": self.regions_disjoint,
-            "region_witness": self.region_witness,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate_scenario(sc: Scenario, samples: int = 20_000,
@@ -482,10 +470,6 @@ class RunReport:
     def n_safe(self) -> int:
         return sum(r.safe for r in self.results)
 
-    @property
-    def all_converged_safe(self) -> bool:
-        return all(r.verdict == "converged" and r.safe for r in self.results)
-
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario, "seed": self.seed,
@@ -585,24 +569,6 @@ def run_scenario(sc: Scenario, parallel: int = 1, out_dir: str | None = None,
             fh.write("t,d_target,d_unsafe,ic_id\n")
             fh.write("\n".join(long_rows) + ("\n" if long_rows else ""))
     return report
-
-
-def run_trajectories(sc: Scenario, seed: int | None = None,
-                     parallel: int = 1) -> list[Trajectory]:
-    """The raw trajectories of a batch, ordered by ic_id (for analysis/tests)."""
-    run_seed = effective_seed(sc, seed)
-    ics = draw_initial_conditions(sc, run_seed)
-    jobs = [(sc, i, x0) for i, x0 in enumerate(ics)]
-    out: dict[int, Trajectory] = {}
-    if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for ic_id, traj in pool.map(_run_one, jobs):
-                out[ic_id] = traj
-    else:
-        for job in jobs:
-            ic_id, traj = _run_one(job)
-            out[ic_id] = traj
-    return [out[i] for i in sorted(out)]
 
 
 # ---------------------------------------------------------------------------

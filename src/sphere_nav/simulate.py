@@ -38,14 +38,13 @@ Controller = ConicGradientController | StarPiecewiseController
 class SimConfig:
     dt: float = 1e-3
     T: float = 30.0
-    renormalize_every: int = 1
     log_stride: int = 1
 
     def __post_init__(self):
         if self.dt <= 0 or self.T < self.dt:
             raise ValueError("need dt > 0 and T >= dt")
-        if self.renormalize_every < 1 or self.log_stride < 1:
-            raise ValueError("strides must be >= 1")
+        if self.log_stride < 1:
+            raise ValueError("log stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,7 @@ def integrate(x0, controller: Controller, cfg: SimConfig) -> Trajectory:
             k3 = f(x + 0.5 * dt * k2)
             k4 = f(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if k % cfg.renormalize_every == 0:
-                x /= np.linalg.norm(x)
+            x /= np.linalg.norm(x)
             t = k * dt
             d_t = 1.0 - float(x @ controller.x_d)
             if not np.isfinite(d_t):

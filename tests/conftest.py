@@ -1,10 +1,12 @@
 """Shared fixtures: bundled scenarios are parsed and integrated once per session."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphere_nav
 from sphere_nav.scenario import (
     draw_initial_conditions,
     effective_seed,
@@ -12,7 +14,8 @@ from sphere_nav.scenario import (
 )
 from sphere_nav.simulate import integrate
 
-SCENARIO_DIR = "src/sphere_nav/scenarios"
+# bundled files, found from the package so tests run from any directory
+SCENARIO_DIR = Path(sphere_nav.__file__).parent / "scenarios"
 
 
 def scenario_path(name: str) -> str:

@@ -196,6 +196,68 @@ def test_projected_chords_land_on_geodesics():
 
 
 # ---------------------------------------------------------------------------
+# the region queries shared by caps and star regions
+# ---------------------------------------------------------------------------
+
+# The S^3 power-sum oracle is a local maximizer: from some boundary points
+# it misses the point itself and reports a margin of up to ~1e-3 (the missed
+# ridge maxima of ROADMAP item 1).  strict: the mark must go once it is global.
+LOCAL_ORACLE = pytest.mark.xfail(
+    strict=True, reason="S^3 power-sum distance oracle is not a global maximizer")
+
+
+def _region(request, name):
+    if name == "cap":
+        return cap([1.0, 2.0, 0.0, -1.0], 0.5)
+    return request.getfixturevalue(name).arrangement.sets[0]
+
+
+def _interior_exterior_points(region, seed: int = 11):
+    """Interior points on kernel-to-boundary geodesics, exterior uniform draws."""
+    rng = np.random.default_rng(seed)
+    g = region.kernel_on_sphere
+    inner = [geo.slerp(g, geo.normalize(b), lam).coords
+             for b, lam in zip(region.boundary_samples(6, rng),
+                               rng.uniform(0.1, 0.8, size=6))]
+    outer = [p for p in geo.sample_uniform_many(g.n, 40, rng)
+             if not region.contains(p)][:10]
+    return np.array(inner + outer), len(inner)
+
+
+@pytest.mark.parametrize("name", ["cap", "star4", "star1_feasible"])
+def test_region_interface(request, name):
+    """A cap, a tabulated S^2 star (s2_star4) and a power-sum S^3 star answer
+    the shared region queries consistently."""
+    region = _region(request, name)
+    assert region.contains_interior(region.kernel_on_sphere)
+    pts, n_inner = _interior_exterior_points(region)
+    inside = np.array([region.contains(p) for p in pts])
+    assert inside[:n_inner].all() and not inside[n_inner:].any()
+
+    coarse = region.distances_coarse(pts)
+    # the zero set of the coarse pass is the vectorized membership test
+    assert np.array_equal(coarse == 0.0, inside)
+    for x, d_coarse in zip(pts, coarse):
+        margin = region.signed_margin(x)
+        d = region.distance(x)
+        assert region.distance_warm(x, None)[0] == margin
+        assert d == max(0.0, margin)
+        assert d_coarse >= d - 1e-12
+        if name == "cap":
+            assert abs(d_coarse - d) <= 1e-15
+        assert 1.0 - float(x @ region.nearest_boundary(x)) >= d - 1e-12
+
+
+@pytest.mark.parametrize("name", ["cap", "star4",
+                                  pytest.param("star1_feasible", marks=LOCAL_ORACLE)])
+def test_nearest_boundary_lies_on_boundary(request, name):
+    region = _region(request, name)
+    pts, _ = _interior_exterior_points(region)
+    for x in pts:
+        assert abs(region.signed_margin(region.nearest_boundary(x))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # kernel validation
 # ---------------------------------------------------------------------------
 

@@ -42,6 +42,36 @@ def write_doc(tmp_path, doc, name="tiny.json"):
     return str(path)
 
 
+def star_block(**overrides):
+    """A small disc body on S^2 around -e_y, clear of the tiny cap and target."""
+    block = {"type": "star", "anchor": [0.0, -2.0, 0.0],
+             "profile": {"kind": "implicit-radial", "exponents": [2.0, 2.0],
+                         "level": 0.25},
+             "resolution": 256}
+    block.update(overrides)
+    return block
+
+
+# each document holds one malformed region; the parser must list it as a
+# violation (second item: a fragment of the expected message)
+MALFORMED_REGIONS = [
+    (star_block(profile={"kind": "implicit-radial", "exponents": [2.0, 2.0]}),
+     "level"),
+    (star_block(kernel_on_sphere=[0.0, -2.0, 0.0]), "kernel_on_sphere"),
+    (star_block(profile={"kind": "implicit-radial", "exponents": [-1.0, 2.0],
+                         "level": 0.25}), "positive exponents"),
+    (star_block(profile={"kind": "implicit-radial", "exponents": [2.0, 2.0, 2.0],
+                         "level": 0.25}), "one exponent per body coordinate"),
+    ({"type": "cap", "axis": [1.0, 0.0, 0.0], "xi": "wide"}, "xi"),
+]
+
+
+def malformed_docs():
+    for block, fragment in MALFORMED_REGIONS:
+        yield tiny_scenario_doc(constraints=[block]), fragment
+    yield tiny_scenario_doc(constraints=[]), "at least one region"
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -82,6 +112,15 @@ def test_parse_collects_multiple_violations(tmp_path):
         parse_scenario(write_doc(tmp_path, doc))
     # target inside the cap, negative gain, and a non-unit explicit IC
     assert len(err.value.violations) >= 3
+    # malformed regions are listed as violations, not raised as tracebacks
+    for doc, fragment in malformed_docs():
+        with pytest.raises(InvariantViolation) as err:
+            parse_scenario(write_doc(tmp_path, doc))
+        assert any(fragment in v for v in err.value.violations), fragment
+    doc = tiny_scenario_doc(constraints=[b for b, _ in MALFORMED_REGIONS])
+    with pytest.raises(InvariantViolation) as err:
+        parse_scenario(write_doc(tmp_path, doc))
+    assert len(err.value.violations) == len(MALFORMED_REGIONS)
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -217,6 +256,12 @@ def test_cli_validate_rejects_bad_file(tmp_path, capsys):
     path = write_doc(tmp_path, doc)
     assert cli_main(["validate", path]) == 1
     assert "target" in capsys.readouterr().err
+    for doc, fragment in malformed_docs():
+        path = write_doc(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert cli_main([command, path]) == 1
+            err = capsys.readouterr().err
+            assert "scenario invariants violated" in err and fragment in err
 
 
 def test_cli_run_and_outputs(tmp_path, capsys):
@@ -270,6 +315,12 @@ def test_cli_sweep(tmp_path, capsys):
     assert [row["value"] for row in payload["sweep"]] == [0.5, 1.0]
     assert cli_main(["sweep", sc_path, "--param", "nope",
                      "--values", "1"]) == 2
+    capsys.readouterr()
+    assert cli_main(["sweep", sc_path, "--param", "dt", "--values", "0.002"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sweep"][0]["n_runs"] == 2
+    assert cli_main(["sweep", sc_path, "--param", "dt", "--values", "0"]) == 2
+    assert "runtime failure at dt=0" in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):

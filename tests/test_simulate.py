@@ -352,7 +352,6 @@ def test_step_size_robustness(cones7, star1_feasible):
         for x0 in ics:
             cfg1 = sc.sim
             cfg2 = SimConfig(dt=cfg1.dt / 2, T=cfg1.T,
-                             renormalize_every=cfg1.renormalize_every,
                              log_stride=2 * cfg1.log_stride)
             t1 = integrate(x0, ctrl, cfg1)
             t2 = integrate(x0, ctrl, cfg2)
