@@ -8,10 +8,11 @@ Two kinds of region are supported:
   origin) onto the sphere.
 
 Both answer the same queries, so no caller branches on the region type:
-``contains``, ``contains_interior``, ``signed_margin``, ``distance``,
+``contains``, ``contains_interior`` (rows: ``contains_many``,
+``contains_interior_many``), ``signed_margin``, ``distance``,
 ``distance_warm(x, warm) -> (signed margin, warm)``, ``distances_coarse``
-(rows of points; exact for caps), ``nearest_boundary``,
-``boundary_samples``, ``bounding`` and ``kernel_on_sphere``.
+(rows; exact for caps), ``nearest_boundary``, ``boundary_samples``,
+``bounding`` and ``kernel_on_sphere``.
 
 Spherical distances to a region are ``d_s(x, U) = 1 - sup_{u in U} x.u``;
 for exterior points the supremum is attained on the boundary, so star
@@ -73,6 +74,16 @@ class ConicCap:
 
     def contains_interior(self, x, tol: float = INTERIOR_TOL) -> bool:
         return self.signed_margin(x) < -tol
+
+    def contains_many(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """Row version of `contains`."""
+        return pts @ self.axis.coords >= np.cos(self.xi) - tol
+
+    def contains_interior_many(self, pts: np.ndarray,
+                               tol: float = INTERIOR_TOL) -> np.ndarray:
+        """Row version of `contains_interior`."""
+        gap = np.arccos(np.clip(pts @ self.axis.coords, -1.0, 1.0)) - self.xi
+        return np.sign(gap) * (1.0 - np.cos(gap)) < -tol
 
     def signed_margin(self, x) -> float:
         """Spherical distance to the cap, negative when x is inside."""
@@ -412,9 +423,8 @@ class ProjectedStarShape:
         # the hit point scales with the angular slack times the lever arm
         return excess <= np.sqrt(max(2.0 * tol, 0.0)) * hit_norm * 4.0 + 1e-12
 
-    def contains_many(self, pts: np.ndarray,
-                      tol: float = BOUNDARY_CLOSURE_TOL) -> np.ndarray:
-        """Vectorized ray-membership test for rows of pts."""
+    def _radial_excess_many(self, pts: np.ndarray):
+        """Row version of `_radial_excess`: (ray hits, r, rho, hit norm)."""
         denom = pts @ self._normal
         ok = np.abs(denom) >= 1e-15
         t = np.where(ok, self._offset / np.where(ok, denom, 1.0), -1.0)
@@ -427,10 +437,20 @@ class ProjectedStarShape:
         away = r > 1e-15
         dirs = np.where(away[:, None], rel / np.where(away, r, 1.0)[:, None],
                         self._seed_dirs[0])
-        rho = self._rho(dirs)
-        hit_norm = np.sqrt((hits * hits).sum(axis=1))
+        return ok, r, self._rho(dirs), np.sqrt((hits * hits).sum(axis=1))
+
+    def contains_many(self, pts: np.ndarray,
+                      tol: float = BOUNDARY_CLOSURE_TOL) -> np.ndarray:
+        """Row version of `contains`."""
+        ok, r, rho, hit_norm = self._radial_excess_many(pts)
         slack = np.sqrt(max(2.0 * tol, 0.0)) * hit_norm * 4.0 + 1e-12
         return ok & (r <= rho + slack)
+
+    def contains_interior_many(self, pts: np.ndarray,
+                               tol: float = INTERIOR_TOL) -> np.ndarray:
+        """Row version of `contains_interior`."""
+        ok, r, rho, hit_norm = self._radial_excess_many(pts)
+        return ok & (r - rho < -(np.sqrt(max(2.0 * tol, 0.0)) * hit_norm + 1e-12))
 
     def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
         """Cache-resolution distances for rows of pts (zero where contained)."""
@@ -853,11 +873,13 @@ class KernelReport:
     reverse_worst: float
 
 
-def _penetration_tol_ok(s: ConstraintSet, p, tol: float, want_inside: bool) -> bool:
-    """Exact closure tests: inside within tol, or outside of the tol-interior."""
-    if want_inside:
-        return s.contains(p, tol=tol)
-    return not s.contains_interior(p, tol=tol)
+def _note_first_failure(failures: list[KernelFailure], code: str,
+                        lams: np.ndarray, pts: np.ndarray, ok: np.ndarray):
+    """Record the first geodesic point that fails its test, once per code."""
+    if ok.all() or any(f.code == code for f in failures):
+        return
+    j = int(np.argmin(ok))
+    failures.append(KernelFailure(code, lam=float(lams[j]), at=pts[j]))
 
 
 def validate_kernel(s: ConstraintSet, g, samples: int = 200,
@@ -886,8 +908,7 @@ def validate_kernel(s: ConstraintSet, g, samples: int = 200,
     rng = np.random.default_rng(seed)
     boundary = s.boundary_samples(samples, rng)
     lams = np.linspace(0.0, 1.0, grid + 1)
-    sigma_soft: tuple[float, np.ndarray] | None = None
-    reverse_soft: tuple[float, np.ndarray] | None = None
+    sigma_worst = reverse_worst = float("inf")
     gp = UnitPoint(gc)
 
     for x in boundary:
@@ -895,34 +916,20 @@ def validate_kernel(s: ConstraintSet, g, samples: int = 200,
         # (c) forward geodesic g -> x must stay in the region
         if gp.dot(xb) > -1.0 + 1e-12:
             pts = geo.slerp_many(gp, xb, lams)
-            for lam, p in zip(lams, pts):
-                if not _penetration_tol_ok(s, p, tol, want_inside=True):
-                    if not any(f.code == "GeodesicEscapes" for f in failures):
-                        failures.append(KernelFailure("GeodesicEscapes",
-                                                      lam=float(lam), at=p))
-                    break
-            mid = pts[grid // 2]
-            m = -s.signed_margin(mid)
-            if sigma_soft is None or m < sigma_soft[0]:
-                sigma_soft = (m, mid)
+            _note_first_failure(failures, "GeodesicEscapes", lams, pts,
+                                s.contains_many(pts, tol))
+            sigma_worst = min(sigma_worst, -s.signed_margin(pts[grid // 2]))
         # (d) reverse geodesic x -> -g must avoid the interior
         if xb.dot(-gc) > -1.0 + 1e-12:
             pts = geo.slerp_many(xb, UnitPoint(-gc), lams)
-            for lam, p in zip(lams, pts):
-                if not _penetration_tol_ok(s, p, tol, want_inside=False):
-                    if not any(f.code == "ReverseGeodesicEnters" for f in failures):
-                        failures.append(KernelFailure("ReverseGeodesicEnters",
-                                                      lam=float(lam), at=p))
-                    break
-            m = s.signed_margin(pts[1])
-            if reverse_soft is None or m < reverse_soft[0]:
-                reverse_soft = (m, pts[1])
+            _note_first_failure(failures, "ReverseGeodesicEnters", lams, pts,
+                                ~s.contains_interior_many(pts, tol))
+            reverse_worst = min(reverse_worst, s.signed_margin(pts[1]))
 
     return KernelReport(ok=not failures, failures=failures,
                         interior_margin=float(interior_margin),
                         antipode_margin=float(anti_margin),
-                        sigma_worst=float("inf") if sigma_soft is None else sigma_soft[0],
-                        reverse_worst=float("inf") if reverse_soft is None else reverse_soft[0])
+                        sigma_worst=sigma_worst, reverse_worst=reverse_worst)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,29 +118,19 @@ def distance_from_angle(theta: float) -> float:
 def slerp(a, b, lam: float) -> UnitPoint:
     """Point at parameter lam on the minimal great-circle arc from a to b.
 
-    Evaluations at lam = 0 and lam = 1 return the endpoints exactly.  For
-    angles below SLERP_SMALL_ANGLE the spherical weights are replaced by a
-    normalized linear interpolation, which agrees to O(theta^2).
+    The one-row case of `slerp_many`, except that lam = 0 and lam = 1
+    return the endpoints exactly.
     """
-    ac = coords_of(a)
-    bc = coords_of(b)
-    dot = float(ac @ bc)
-    if dot <= -1.0 + ANTIPODE_DOT_TOL:
-        raise AntipodalEndpoints("slerp endpoints are antipodal")
-    if lam == 0.0:
-        return UnitPoint(ac)
-    if lam == 1.0:
-        return UnitPoint(bc)
-    theta = float(np.arccos(np.clip(dot, -1.0, 1.0)))
-    if theta < SLERP_SMALL_ANGLE:
-        return normalize((1.0 - lam) * ac + lam * bc)
-    s = np.sin(theta)
-    v = (np.sin((1.0 - lam) * theta) * ac + np.sin(lam * theta) * bc) / s
-    return normalize(v)
+    p = slerp_many(a, b, np.array([lam]))[0]
+    return UnitPoint(coords_of(a) if lam == 0.0 else coords_of(b) if lam == 1.0 else p)
 
 
 def slerp_many(a, b, lams: np.ndarray) -> np.ndarray:
-    """Vectorized slerp; rows of the result are the arc points at `lams`."""
+    """Rows of the result are the arc points at `lams`.
+
+    For angles below SLERP_SMALL_ANGLE the spherical weights are replaced by
+    a normalized linear interpolation, which agrees to O(theta^2).
+    """
     ac = coords_of(a)
     bc = coords_of(b)
     dot = float(ac @ bc)
@@ -182,44 +173,31 @@ def arc(a, b) -> GreatCircleArc:
     return GreatCircleArc(UnitPoint(ac), UnitPoint(bc))
 
 
-def distance_to_arc(x, segment: GreatCircleArc, grid: int = 512) -> float:
-    """min over the arc of d_s(x, .), via a lambda-grid plus one golden-section pass.
+def distance_to_arc(x, segment: GreatCircleArc) -> float:
+    """min over the arc of d_s(x, .), in closed form (exact to roundoff).
 
-    The grid minimum over-approximates the true distance by at most
-    (theta/grid)^2 / 2; the golden-section refinement around the grid argmin
-    removes that gap to roundoff.
+    The arc is cos(t) a + sin(t) e for t in [0, theta], with e the unit
+    tangent at a toward b, and x.(arc point) = hypot(x.a, x.e) cos(t - phi)
+    with phi = atan2(x.e, x.a).  The maximum is hypot(x.a, x.e) when phi
+    lies in [0, theta] and the better endpoint otherwise; a degenerate arc
+    (a = b to roundoff) has only its endpoints.
     """
     xc = coords_of(x)
-    lams = np.linspace(0.0, 1.0, grid + 1)
-    dots = segment.points(lams) @ xc
-    i = int(np.argmax(dots))
-    lo = lams[max(0, i - 1)]
-    hi = lams[min(grid, i + 1)]
-
-    def f(lam: float) -> float:
-        return float(coords_of(slerp(segment.a, segment.b, lam)) @ xc)
-
-    best = _golden_max(f, lo, hi)
-    best = max(best, float(dots[i]))
-    return 1.0 - best
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximization of a unimodal scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return max(fc, fd)
+    a = segment.a.coords
+    b = segment.b.coords
+    xa = float(xc @ a)
+    xb = float(xc @ b)
+    c = float(a @ b)
+    # b - c a, summed so that nearly antipodal endpoints lose no digits,
+    # then cleared of the part along a that the rounding of c leaves
+    w = (a + b) - (1.0 + c) * a
+    w -= (a @ w) * a
+    s = math.sqrt(float(w @ w))
+    if s > 1e-15:
+        xe = float(xc @ w) / s
+        if 0.0 <= math.atan2(xe, xa) <= math.atan2(s, c):
+            return 1.0 - math.hypot(xa, xe)
+    return 1.0 - max(xa, xb)
 
 
 def projected_chord_parameter(theta: float, lam: float) -> float:

@@ -121,10 +121,26 @@ class Scenario:
         return StarPiecewiseController(self.arrangement, params)
 
 
-def _unit_or_violation(vec, what: str, dim: int, violations: list[str]):
-    arr = np.asarray(vec, dtype=float)
-    if arr.shape != (dim + 1,):
+def _number_or_violation(value, what: str, violations: list[str], kind=float):
+    """kind(value), or None with a violation when value is not numeric."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        violations.append(f"{what}: not numeric: {value!r}")
+        return None
+
+
+def _vector_or_violation(vec, what: str, dim: int, violations: list[str]):
+    arr = _number_or_violation(vec, what, violations, lambda v: np.asarray(v, float))
+    if arr is not None and arr.shape != (dim + 1,):
         violations.append(f"{what}: expected {dim + 1} coordinates")
+        return None
+    return arr
+
+
+def _unit_or_violation(vec, what: str, dim: int, violations: list[str]):
+    arr = _vector_or_violation(vec, what, dim, violations)
+    if arr is None:
         return None
     nrm = float(np.linalg.norm(arr))
     if abs(nrm - 1.0) > 1e-6:
@@ -172,16 +188,18 @@ def _parse_constraint(block: dict, dim: int, index: int,
             return None, None
         return ConicCap(UnitPoint(axis), xi), None
     if ctype == "star":
-        anchor = np.asarray(block.get("anchor"), dtype=float)
-        if anchor.shape != (dim + 1,):
-            violations.append(f"{what}.anchor: expected {dim + 1} coordinates")
+        anchor = _vector_or_violation(block.get("anchor"), f"{what}.anchor", dim,
+                                      violations)
+        if anchor is None:
             return None, None
-        kernel = np.asarray(block.get("kernel", anchor), dtype=float)
+        kernel, normal = (_vector_or_violation(block.get(key, anchor), f"{what}.{key}",
+                                               dim, violations) for key in ("kernel", "normal"))
+        resolution = _number_or_violation(block.get("resolution", 2048),
+                                          f"{what}.resolution", violations, int)
         profile = _parse_profile(block.get("profile", {}), f"{what}.profile",
                                  violations)
-        if profile is None:
+        if any(v is None for v in (kernel, normal, resolution, profile)):
             return None, None
-        normal = np.asarray(block.get("normal", anchor), dtype=float)
         if abs(float(normal @ anchor)) < 1e-12:
             violations.append(f"{what}: hyperplane through the origin")
             return None, None
@@ -189,7 +207,7 @@ def _parse_constraint(block: dict, dim: int, index: int,
         try:
             body = EuclideanStarBody(anchor=anchor, basis=basis,
                                      kernel_point=kernel, profile=profile)
-            shape = build_projected_star(body, int(block.get("resolution", 2048)))
+            shape = build_projected_star(body, resolution)
         except SphereNavError as exc:
             violations.append(f"{what}: {exc}")
             return None, None
@@ -221,8 +239,8 @@ def parse_scenario(path: str) -> Scenario:
 def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     violations: list[str] = []
     name = doc.get("name") or (os.path.basename(path or "scenario").rsplit(".", 1)[0])
-    dim = int(doc.get("dimension", 0))
-    if dim < 2:
+    dim = _number_or_violation(doc.get("dimension", 0), "dimension", violations, int)
+    if dim is None or dim < 2:
         violations.append("dimension must be >= 2")
         raise InvariantViolation(violations)
 
@@ -242,22 +260,24 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     law = ctrl.get("law")
     if law not in ("conic-gradient", "star-piecewise"):
         violations.append("controller.law must be 'conic-gradient' or 'star-piecewise'")
-    k1 = float(ctrl.get("k1", 1.0))
-    if k1 <= 0:
+    k1 = _number_or_violation(ctrl.get("k1", 1.0), "controller.k1", violations)
+    if k1 is not None and k1 <= 0:
         violations.append("controller.k1 must be positive")
     kappa = ctrl.get("kappa", "auto")
-    if kappa != "auto" and kappa is not None and float(kappa) <= 0:
-        violations.append("controller.kappa must be positive or 'auto'")
     epsilon = ctrl.get("epsilon", "auto")
-    if epsilon != "auto" and float(epsilon) <= 0:
-        violations.append("controller.epsilon must be positive or 'auto'")
+    # kappa may be null (no repulsion gain); epsilon may not
+    for key, value in (("kappa", kappa), ("epsilon", epsilon)):
+        if value != "auto" and (value is not None or key == "epsilon"):
+            num = _number_or_violation(value, f"controller.{key}", violations)
+            if num is not None and num <= 0:
+                violations.append(f"controller.{key} must be positive or 'auto'")
 
     sim_block = doc.get("sim", {})
     try:
         sim = SimConfig(dt=float(sim_block.get("dt", 1e-3)),
                         T=float(sim_block.get("T", 30.0)),
                         log_stride=int(sim_block.get("log_stride", 1)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         violations.append(f"sim: {exc}")
         sim = SimConfig()
 
@@ -286,8 +306,8 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
                     f"initial_conditions.explicit[{j}] starts inside the unsafe union")
         if v is not None:
             explicit.append(v)
-    ic_count = int(ic_block.get("count", 0))
-    seed = int(ic_block.get("seed", 0))
+    ic_count, seed = (_number_or_violation(ic_block.get(key, 0), f"initial_conditions.{key}",
+                                           violations, int) for key in ("count", "seed"))
 
     if violations:
         raise InvariantViolation(violations)

@@ -224,6 +224,15 @@ def _interior_exterior_points(region, seed: int = 11):
     return np.array(inner + outer), len(inner)
 
 
+def _kernel_walks(region, g, samples=120, seed=0, grid=64):
+    """(failure code, lams, points) of each geodesic validate_kernel walks from g."""
+    lams = np.linspace(0.0, 1.0, grid + 1)
+    for b in region.boundary_samples(samples, np.random.default_rng(seed)):
+        b = geo.normalize(b)
+        yield "GeodesicEscapes", lams, geo.slerp_many(g, b, lams)
+        yield "ReverseGeodesicEnters", lams, geo.slerp_many(b, -g.coords, lams)
+
+
 @pytest.mark.parametrize("name", ["cap", "star4", "star1_feasible"])
 def test_region_interface(request, name):
     """A cap, a tabulated S^2 star (s2_star4) and a power-sum S^3 star answer
@@ -246,6 +255,28 @@ def test_region_interface(request, name):
         if name == "cap":
             assert abs(d_coarse - d) <= 1e-15
         assert 1.0 - float(x @ region.nearest_boundary(x)) >= d - 1e-12
+
+    # row membership answers as the scalar tests do, at the kernel check's
+    # tolerance, on these points and on the geodesics validate_kernel walks
+    g = region.kernel_on_sphere
+    walked = np.vstack([pts] + [walk for _, _, walk in _kernel_walks(region, g)])
+    assert np.array_equal(region.contains_many(walked, 1e-9),
+                          [region.contains(p, tol=1e-9) for p in walked])
+    assert np.array_equal(region.contains_interior_many(walked, 1e-9),
+                          [region.contains_interior(p, tol=1e-9) for p in walked])
+    # off the kernel (both stars then fail both geodesic checks), each code
+    # reports the first failing point that a point-by-point walk finds
+    edge = region.boundary_samples(1, np.random.default_rng(11))[0]
+    g_off = geo.slerp(g, geo.normalize(edge), 0.9)
+    first = {}
+    for code, lams, walk in _kernel_walks(region, g_off):
+        fails = [region.contains_interior(p, tol=1e-9) if code == "ReverseGeodesicEnters"
+                 else not region.contains(p, tol=1e-9) for p in walk]
+        if any(fails):
+            first.setdefault(code, float(lams[fails.index(True)]))
+    rep = validate_kernel(region, g_off, samples=120, seed=0)
+    assert len(first) == (0 if name == "cap" else 2)
+    assert {f.code: f.lam for f in rep.failures} == first
 
 
 @pytest.mark.parametrize("name", ["cap", "star4",

@@ -256,7 +256,7 @@ def test_alignment_vector_identities():
         for a, b in ((g, -XD), (-g, -XD), (g, XD), (-g, XD)):
             if a @ b > -1 + 1e-9:
                 arcs.append(geo.arc(geo.normalize(a), geo.normalize(b)))
-        arc_dist = min(geo.distance_to_arc(x, s, grid=256) for s in arcs)
+        arc_dist = min(geo.distance_to_arc(x, s) for s in arcs)
         if arc_dist > 1e-3:
             assert w @ proj(x, XD) > 0.0
 

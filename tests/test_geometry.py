@@ -122,6 +122,37 @@ def test_distance_to_arc():
     seg2 = geo.arc(e1, e2)
     assert abs(geo.distance_to_arc(np.eye(4)[2], seg2) - 1.0) <= 1e-12
 
+    # the closed form against the minimum m over an N-point slerp grid, which
+    # overstates the distance by at most (theta/N)^2/2: generic, short and
+    # nearly antipodal arcs; random, on-arc and past-an-endpoint points
+    rng = np.random.default_rng(13)
+    n_grid = 20001
+    lams = np.linspace(0.0, 1.0, n_grid)
+    for n in (2, 3, 5):
+        for theta in (None, 1e-4, 1e-7, np.pi - 1e-3):
+            for _ in range(4):
+                a = geo.sample_uniform_many(n, 1, rng)[0]
+                if theta is None:
+                    b = geo.sample_uniform_many(n, 1, rng)[0]
+                else:
+                    t = geo.project_to_tangent(a, rng.normal(size=n + 1)).vec
+                    b = geo.rotate_toward(a, t / np.linalg.norm(t), theta)
+                    b /= np.linalg.norm(b)
+                seg = geo.arc(a, b)
+                t_ab = geo.project_to_tangent(a, b).vec
+                xs = list(geo.sample_uniform_many(n, 4, rng))
+                xs += [geo.slerp(a, b, lam).coords for lam in (0.0, 0.37, 1.0)]
+                xs.append(geo.normalize(a - 0.3 * t_ab / np.linalg.norm(t_ab)
+                                        + 0.2 * rng.normal(size=n + 1)).coords)
+                m_all = 1.0 - (seg.points(lams) @ np.array(xs).T).max(axis=0)
+                gap = (seg.theta / n_grid) ** 2 / 2.0
+                for x, m in zip(xs, m_all):
+                    d = geo.distance_to_arc(x, seg)
+                    assert m - gap - 1e-14 <= d <= m + 1e-14, (n, theta, d - m)
+        # a degenerate arc has only its endpoint
+        a, x = geo.sample_uniform_many(n, 2, rng)
+        assert abs(geo.distance_to_arc(x, geo.arc(a, a)) - (1.0 - x @ a)) <= 1e-15
+
 
 def test_normalize():
     p = geo.normalize([3.0, 4.0, 0.0, 0.0])

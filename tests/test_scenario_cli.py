@@ -63,6 +63,23 @@ MALFORMED_REGIONS = [
     (star_block(profile={"kind": "implicit-radial", "exponents": [2.0, 2.0, 2.0],
                          "level": 0.25}), "one exponent per body coordinate"),
     ({"type": "cap", "axis": [1.0, 0.0, 0.0], "xi": "wide"}, "xi"),
+    (star_block(anchor="south"), "anchor"),
+    (star_block(kernel="centre"), "kernel"),
+    (star_block(normal="up"), "normal"),
+    (star_block(resolution="fine"), "resolution"),
+]
+
+# (section, key, value, fragment): a non-numeric value the parser must list
+# as a violation; section None is the top level
+NON_NUMERIC_FIELDS = [
+    (None, "target", "north", "target"),
+    (None, "dimension", "three", "dimension"),
+    ("controller", "k1", "fast", "k1"),
+    ("controller", "kappa", "high", "kappa"),
+    ("controller", "epsilon", "small", "epsilon"),
+    ("initial_conditions", "count", "many", "count"),
+    ("initial_conditions", "seed", "lucky", "seed"),
+    ("sim", "dt", None, "sim"),
 ]
 
 
@@ -70,6 +87,10 @@ def malformed_docs():
     for block, fragment in MALFORMED_REGIONS:
         yield tiny_scenario_doc(constraints=[block]), fragment
     yield tiny_scenario_doc(constraints=[]), "at least one region"
+    for section, key, value, fragment in NON_NUMERIC_FIELDS:
+        doc = tiny_scenario_doc()
+        (doc if section is None else doc[section])[key] = value
+        yield doc, fragment
 
 
 # ---------------------------------------------------------------------------
