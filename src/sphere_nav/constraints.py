@@ -27,6 +27,7 @@ missed.  All queries are read-only after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,8 @@ from .geometry import UnitPoint, coords_of
 BOUNDARY_CLOSURE_TOL = 1e-9   # boundary points report as contained
 INTERIOR_TOL = 1e-12          # strictly-inside test threshold
 REFINE_STOP = 1e-7            # successive-estimate gap that ends refinement
+KERNEL_GRID = 64              # geodesic steps per kernel-check walk
+KERNEL_TOL = 1e-9             # membership closure along the kernel-check walks
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +161,11 @@ class PowerSumProfile:
         """Direction rows -> boundary radius about kernel_s, dispatched once."""
         if self.exponents.size != kernel_s.size:
             raise DomainError("power-sum profile needs one exponent per body coordinate")
+        # module-level functions under partial, so regions pickle to workers
         if self._equal_e is not None and float(kernel_s @ kernel_s) < 1e-28:
-            e = self._equal_e
-            inv_e = 1.0 / e
-            level = self.level
-
-            def rho(dirs):
-                pw = np.maximum((np.abs(dirs) ** e).sum(axis=1), 1e-300)
-                return (level / pw) ** inv_e
-            return rho
-        return lambda dirs: _radial_bisection(self.implicit, kernel_s, dirs)
+            return partial(_power_sum_radius, self._equal_e, 1.0 / self._equal_e,
+                           self.level)
+        return partial(_radial_bisection, self.implicit, kernel_s)
 
     def max_radius(self) -> float:
         """Exact sup of the boundary radius over all directions.
@@ -227,6 +225,13 @@ class RadialTableProfile:
         j = np.argmax(self.values)
         phi = 2.0 * np.pi * j / self.values.size
         return np.array([[np.cos(phi), np.sin(phi)]])
+
+
+def _power_sum_radius(e: float, inv_e: float, level: float,
+                      dirs: np.ndarray) -> np.ndarray:
+    """Closed-form radius of sum_i |s_i|^e <= level about its centre."""
+    pw = np.maximum((np.abs(dirs) ** e).sum(axis=1), 1e-300)
+    return (level / pw) ** inv_e
 
 
 def _radial_bisection(implicit, kernel_s: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -759,7 +764,7 @@ class ConstraintArrangement:
             for s, k in zip(self.sets, kernels)
         ]
         self.delta_declared = delta_declared
-        self._delta_measured: float | None = None
+        self._delta_measured: dict[int, float] = {}
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -776,11 +781,11 @@ class ConstraintArrangement:
         xc = coords_of(x)
         return np.array([s.signed_margin(xc) for s in self.sets])
 
-    def delta_measured(self, samples: int = 400, seed: int = 0) -> float:
-        if self._delta_measured is None:
-            self._delta_measured = pairwise_separation(self, samples=samples,
-                                                       seed=seed)
-        return self._delta_measured
+    def delta_measured(self, seed: int = 0) -> float:
+        """pairwise_separation at its default sample count, cached per seed."""
+        if seed not in self._delta_measured:
+            self._delta_measured[seed] = pairwise_separation(self, seed=seed)
+        return self._delta_measured[seed]
 
 
 # ---------------------------------------------------------------------------
@@ -794,14 +799,13 @@ def phi(delta: float) -> float:
     return 1.0 - np.sqrt((2.0 - delta) / 2.0)
 
 
-def suggest_epsilon(arr: ConstraintArrangement, x_d,
-                    samples: int = 400, seed: int = 0) -> float:
+def suggest_epsilon(arr: ConstraintArrangement, x_d, seed: int = 0) -> float:
     """0.9 * min(phi(delta_measured), d_s(x_d, U)); requires x_d strictly safe."""
     margins = arr.signed_margins(x_d)
     if float(margins.min()) <= 0.0:
         raise TargetInsideUnsafe("target point is not strictly outside the unsafe union")
     eps_bar = float(margins.min())
-    delta = arr.delta_measured(samples=samples, seed=seed)
+    delta = arr.delta_measured(seed=seed)
     bound = eps_bar
     if np.isfinite(delta):
         if delta <= 0.0:
@@ -869,8 +873,6 @@ class KernelReport:
     failures: list[KernelFailure]
     interior_margin: float
     antipode_margin: float
-    sigma_worst: float
-    reverse_worst: float
 
 
 def _note_first_failure(failures: list[KernelFailure], code: str,
@@ -883,15 +885,13 @@ def _note_first_failure(failures: list[KernelFailure], code: str,
 
 
 def validate_kernel(s: ConstraintSet, g, samples: int = 200,
-                    grid: int = 64, seed: int = 0,
-                    tol: float = 1e-9) -> KernelReport:
+                    seed: int = 0) -> KernelReport:
     """Certify g as a usable kernel point of the region.
 
     Checks: (a) g lies strictly inside; (b) -g lies outside; (c) geodesics
     from g to sampled boundary points stay inside (kernel membership);
     (d) geodesics from boundary points to -g never enter the interior.
-    Membership along the geodesics uses the exact ray/inequality tests; the
-    reported margins refine the softest points found.
+    Membership along the geodesics uses the exact ray/inequality tests.
     """
     gc = coords_of(g)
     failures: list[KernelFailure] = []
@@ -907,8 +907,7 @@ def validate_kernel(s: ConstraintSet, g, samples: int = 200,
 
     rng = np.random.default_rng(seed)
     boundary = s.boundary_samples(samples, rng)
-    lams = np.linspace(0.0, 1.0, grid + 1)
-    sigma_worst = reverse_worst = float("inf")
+    lams = np.linspace(0.0, 1.0, KERNEL_GRID + 1)
     gp = UnitPoint(gc)
 
     for x in boundary:
@@ -917,19 +916,16 @@ def validate_kernel(s: ConstraintSet, g, samples: int = 200,
         if gp.dot(xb) > -1.0 + 1e-12:
             pts = geo.slerp_many(gp, xb, lams)
             _note_first_failure(failures, "GeodesicEscapes", lams, pts,
-                                s.contains_many(pts, tol))
-            sigma_worst = min(sigma_worst, -s.signed_margin(pts[grid // 2]))
+                                s.contains_many(pts, KERNEL_TOL))
         # (d) reverse geodesic x -> -g must avoid the interior
         if xb.dot(-gc) > -1.0 + 1e-12:
             pts = geo.slerp_many(xb, UnitPoint(-gc), lams)
             _note_first_failure(failures, "ReverseGeodesicEnters", lams, pts,
-                                ~s.contains_interior_many(pts, tol))
-            reverse_worst = min(reverse_worst, s.signed_margin(pts[1]))
+                                ~s.contains_interior_many(pts, KERNEL_TOL))
 
     return KernelReport(ok=not failures, failures=failures,
                         interior_margin=float(interior_margin),
-                        antipode_margin=float(anti_margin),
-                        sigma_worst=sigma_worst, reverse_worst=reverse_worst)
+                        antipode_margin=float(anti_margin))
 
 
 # ---------------------------------------------------------------------------
@@ -943,67 +939,108 @@ def dilation_threshold(arr: ConstraintArrangement, i: int, x_d, eps: float) -> f
     return geo.distance_from_angle(max(0.0, ang))
 
 
-def is_attracting_index(arr: ConstraintArrangement, i: int, x_d, eps: float) -> bool:
-    """True when -x_d lies outside the dilated region (the generic case)."""
-    return arr.sets[i].distance(-coords_of(x_d)) > eps
+class _Shadow:
+    """The constants of constraint i's shadow region, computed once per check.
 
-
-def _ray_hits_dilation(s: ConstraintSet, base: np.ndarray, w: np.ndarray,
-                       t_lo: float, eps: float):
-    """First t in [t_lo, pi) where the great-circle ray enters D_eps(U).
-
-    Marches in steps of 1e-3 and returns the crossing parameter
-    (bisection-refined) or None.  A bounding prefilter skips rays whose full
-    circle stays clear of the dilation.
+    ``base`` is the target x_d, or -x_d for the (at most one) exceptional
+    constraint whose dilation holds -x_d; only the generic ones have a
+    distance ``threshold``.  The dilation lies within ``reach`` of ``center``.
     """
-    step = 1e-3
-    center, radius = s.bounding()
-    reach = min(np.pi, radius + geo.angle_from_distance(eps))
-    rc = float(np.hypot(center @ base, center @ w))
-    circle_gap = np.arccos(np.clip(rc, -1.0, 1.0))
-    if circle_gap > reach + 1e-9:
-        return None
-    phi0 = float(np.arctan2(center @ w, center @ base))
-    if rc < np.cos(reach):
-        return None
-    half = float(np.arccos(np.clip(np.cos(reach) / max(rc, 1e-15), -1.0, 1.0)))
-    windows = []
-    for base_phi in (phi0, phi0 + 2.0 * np.pi, phi0 - 2.0 * np.pi):
-        lo = max(t_lo, base_phi - half)
-        hi = min(np.pi, base_phi + half)
-        if hi > lo:
-            windows.append((lo, hi))
-    if not windows:
-        return None
 
-    def dist_at(ts: np.ndarray) -> np.ndarray:
-        pts = np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)
-        if pts.shape[0] <= 4:
-            return np.array([s.distance(p) for p in pts])
-        # marching pass: cache-resolution distances (the cache includes the
-        # profile spikes, so the blur is the smooth-boundary sampling gap)
-        return s.distances_coarse(pts)
+    def __init__(self, arr: ConstraintArrangement, i: int, xd: np.ndarray,
+                 eps: float):
+        self.region = s = arr.sets[i]
+        self.eps = eps
+        attract = s.distance(-xd) > eps
+        self.base = xd if attract else -xd
+        self.threshold = dilation_threshold(arr, i, xd, eps) if attract else None
+        self.center, radius = s.bounding()
+        self.reach = min(np.pi, radius + geo.angle_from_distance(eps))
 
-    if float(dist_at(np.array([t_lo]))[0]) <= eps:
-        return t_lo
-    for lo, hi in windows:
-        ts = np.arange(lo, hi + step, step)
-        ds = dist_at(ts)
-        hits = np.nonzero(ds <= eps)[0]
-        if hits.size == 0:
-            continue
-        k = int(hits[0])
-        if k == 0:
-            return float(ts[0])
-        a, b = float(ts[k - 1]), float(ts[k])
-        for _ in range(50):
-            mid = 0.5 * (a + b)
-            if float(dist_at(np.array([mid]))[0]) <= eps:
-                b = mid
-            else:
-                a = mid
-        return b
-    return None
+    def candidates(self, pts: np.ndarray) -> np.ndarray:
+        """Rows that may be members; every row it drops fails `contains`."""
+        cb = pts @ self.base
+        w = pts - np.outer(cb, self.base)
+        wn = np.linalg.norm(w, axis=1)
+        cand = wn > 1e-12
+        if self.threshold is not None:
+            cand &= (1.0 - cb) >= self.threshold - 1e-12
+        # the great circle through the base and the row passes near the centre
+        proj = np.hypot(float(self.center @ self.base),
+                        (w @ self.center) / np.where(cand, wn, 1.0))
+        return cand & (np.arccos(np.clip(proj, -1.0, 1.0)) <= self.reach + 1e-9)
+
+    def contains(self, xc: np.ndarray) -> bool:
+        """The exact membership test of `region_membership`."""
+        if self.region.contains_interior(xc):
+            return False
+        if self.threshold is not None and \
+                geo.spherical_distance(xc, self.base) < self.threshold - 1e-12:
+            return False
+        t_x = float(np.arccos(np.clip(xc @ self.base, -1.0, 1.0)))
+        if t_x < 1e-9:
+            # x coincides with the base point; only reachable in the exceptional case
+            return self.threshold is None
+        if t_x > np.pi - 1e-9:
+            return False
+        w = xc - (xc @ self.base) * self.base
+        w = w / np.linalg.norm(w)
+        return self.ray_hits_dilation(w, t_x - 1e-12) is not None
+
+    def ray_hits_dilation(self, w: np.ndarray, t_lo: float):
+        """First t in [t_lo, pi) where the great-circle ray from the base enters D_eps(U).
+
+        Marches in steps of 1e-3 and returns the crossing parameter
+        (bisection-refined) or None.  A bounding prefilter skips rays whose full
+        circle stays clear of the dilation.
+        """
+        step = 1e-3
+        s, base, center, reach, eps = self.region, self.base, self.center, self.reach, self.eps
+        rc = float(np.hypot(center @ base, center @ w))
+        circle_gap = np.arccos(np.clip(rc, -1.0, 1.0))
+        if circle_gap > reach + 1e-9:
+            return None
+        phi0 = float(np.arctan2(center @ w, center @ base))
+        if rc < np.cos(reach):
+            return None
+        half = float(np.arccos(np.clip(np.cos(reach) / max(rc, 1e-15), -1.0, 1.0)))
+        windows = []
+        for base_phi in (phi0, phi0 + 2.0 * np.pi, phi0 - 2.0 * np.pi):
+            lo = max(t_lo, base_phi - half)
+            hi = min(np.pi, base_phi + half)
+            if hi > lo:
+                windows.append((lo, hi))
+        if not windows:
+            return None
+
+        def dist_at(ts: np.ndarray) -> np.ndarray:
+            pts = np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)
+            if pts.shape[0] <= 4:
+                return np.array([s.distance(p) for p in pts])
+            # marching pass: cache-resolution distances (the cache includes the
+            # profile spikes, so the blur is the smooth-boundary sampling gap)
+            return s.distances_coarse(pts)
+
+        if float(dist_at(np.array([t_lo]))[0]) <= eps:
+            return t_lo
+        for lo, hi in windows:
+            ts = np.arange(lo, hi + step, step)
+            ds = dist_at(ts)
+            hits = np.nonzero(ds <= eps)[0]
+            if hits.size == 0:
+                continue
+            k = int(hits[0])
+            if k == 0:
+                return float(ts[0])
+            a, b = float(ts[k - 1]), float(ts[k])
+            for _ in range(50):
+                mid = 0.5 * (a + b)
+                if float(dist_at(np.array([mid]))[0]) <= eps:
+                    b = mid
+                else:
+                    a = mid
+            return b
+        return None
 
 
 def region_membership(x, i: int, arr: ConstraintArrangement, x_d,
@@ -1016,27 +1053,7 @@ def region_membership(x, i: int, arr: ConstraintArrangement, x_d,
     or beyond x.  For the (at most one) exceptional constraint the same ray
     test runs from -x_d without the distance threshold.
     """
-    xc = coords_of(x)
-    s = arr.sets[i]
-    if s.contains_interior(xc):
-        return False
-    xd = coords_of(x_d)
-    attract = is_attracting_index(arr, i, xd, eps)
-    base = xd if attract else -xd
-    if attract:
-        thr = dilation_threshold(arr, i, xd, eps)
-        if geo.spherical_distance(xc, xd) < thr - 1e-12:
-            return False
-    t_x = float(np.arccos(np.clip(xc @ base, -1.0, 1.0)))
-    if t_x < 1e-9:
-        # x coincides with the base point; only reachable in the exceptional case
-        return not attract
-    if t_x > np.pi - 1e-9:
-        return False
-    w = xc - (xc @ base) * base
-    w = w / np.linalg.norm(w)
-    hit = _ray_hits_dilation(s, base, w, t_x - 1e-12, eps)
-    return hit is not None
+    return _Shadow(arr, i, coords_of(x_d), eps).contains(coords_of(x))
 
 
 @dataclass
@@ -1058,28 +1075,10 @@ def validate_region_disjointness(arr: ConstraintArrangement, x_d, eps: float,
     pts = geo.sample_uniform_many(arr.dimension, samples, rng)
 
     membership = np.zeros((samples, len(arr.sets)), dtype=bool)
-    for i, s in enumerate(arr.sets):
-        attract = is_attracting_index(arr, i, xd, eps)
-        base = xd if attract else -xd
-        cand = np.ones(samples, dtype=bool)
-        if attract:
-            thr = dilation_threshold(arr, i, xd, eps)
-            cand &= (1.0 - pts @ xd) >= thr - 1e-12
-        # cheap circle-proximity prefilter against the bounding cap
-        center, radius = s.bounding()
-        reach = min(np.pi, radius + geo.angle_from_distance(eps)) + 1e-9
-        cb = pts @ base
-        w = pts - np.outer(cb, base)
-        wn = np.linalg.norm(w, axis=1)
-        good = wn > 1e-12
-        cand &= good
-        proj = np.hypot(np.full(samples, float(center @ base)),
-                        (w @ center) / np.where(good, wn, 1.0))
-        prox = np.full(samples, np.inf)
-        prox[good] = np.arccos(np.clip(proj[good], -1.0, 1.0))
-        cand &= prox <= reach
-        for idx in np.nonzero(cand)[0]:
-            membership[idx, i] = region_membership(pts[idx], i, arr, xd, eps)
+    for i in range(len(arr.sets)):
+        shadow = _Shadow(arr, i, xd, eps)
+        for idx in np.nonzero(shadow.candidates(pts))[0]:
+            membership[idx, i] = shadow.contains(pts[idx])
 
     counts = membership.sum(axis=1)
     overlap_idx = np.nonzero(counts >= 2)[0]

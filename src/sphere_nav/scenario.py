@@ -61,6 +61,7 @@ from .controllers import (
     suggest_kappa,
 )
 from .errors import (
+    DomainError,
     InvariantViolation,
     ScenarioParseError,
     SphereNavError,
@@ -196,6 +197,9 @@ def _parse_constraint(block: dict, dim: int, index: int,
                                                dim, violations) for key in ("kernel", "normal"))
         resolution = _number_or_violation(block.get("resolution", 2048),
                                           f"{what}.resolution", violations, int)
+        if resolution is not None and resolution <= 0:
+            violations.append(f"{what}.resolution must be positive")
+            resolution = None
         profile = _parse_profile(block.get("profile", {}), f"{what}.profile",
                                  violations)
         if any(v is None for v in (kernel, normal, resolution, profile)):
@@ -265,9 +269,10 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
         violations.append("controller.k1 must be positive")
     kappa = ctrl.get("kappa", "auto")
     epsilon = ctrl.get("epsilon", "auto")
-    # kappa may be null (no repulsion gain); epsilon may not
     for key, value in (("kappa", kappa), ("epsilon", epsilon)):
-        if value != "auto" and (value is not None or key == "epsilon"):
+        # only the star law reads kappa, so other laws may leave it null
+        unread = key == "kappa" and value is None and law != "star-piecewise"
+        if value != "auto" and not unread:
             num = _number_or_violation(value, f"controller.{key}", violations)
             if num is not None and num <= 0:
                 violations.append(f"controller.{key} must be positive or 'auto'")
@@ -308,6 +313,8 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
             explicit.append(v)
     ic_count, seed = (_number_or_violation(ic_block.get(key, 0), f"initial_conditions.{key}",
                                            violations, int) for key in ("count", "seed"))
+    if seed is not None and seed < 0:
+        violations.append("initial_conditions.seed must be non-negative")
 
     if violations:
         raise InvariantViolation(violations)
@@ -319,12 +326,15 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
 
 
 def effective_seed(sc: Scenario, override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return sc.seed
+    """The override, else SPHERE_NAV_SEED, else the scenario's seed."""
+    seed = override if override is not None else os.environ.get(SEED_ENV_VAR, sc.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise DomainError(f"the initial-condition seed is not an integer: {seed!r}") from None
+    if seed < 0:
+        raise DomainError(f"the initial-condition seed must be non-negative, got {seed}")
+    return seed
 
 
 def draw_initial_conditions(sc: Scenario, seed: int) -> list[np.ndarray]:
@@ -397,7 +407,7 @@ def validate_scenario(sc: Scenario, samples: int = 20_000,
     eps_bar = float(arr.distances(sc.target).min())
     epsilon = sc.resolved_epsilon()
     try:
-        eps_suggested = suggest_epsilon(arr, sc.target)
+        eps_suggested = suggest_epsilon(arr, sc.target, seed=seed)
     except SphereNavError as exc:
         eps_suggested = float("nan")
         failures.append(f"no band width can be suggested: {exc}")
@@ -529,10 +539,8 @@ def write_trajectory_csv(traj: Trajectory, path: str):
 
 
 def _run_one(args):
-    sc, ic_id, x0 = args
-    controller = sc.build_controller()
-    traj = integrate(x0, controller, sc.sim)
-    return ic_id, traj
+    controller, cfg, ic_id, x0 = args
+    return ic_id, integrate(x0, controller, cfg)
 
 
 def run_scenario(sc: Scenario, parallel: int = 1, out_dir: str | None = None,
@@ -546,7 +554,9 @@ def run_scenario(sc: Scenario, parallel: int = 1, out_dir: str | None = None,
     """
     run_seed = effective_seed(sc, seed)
     ics = draw_initial_conditions(sc, run_seed)
-    jobs = [(sc, i, x0) for i, x0 in enumerate(ics)]
+    # one controller serves every start: integrate clears its warm cache per run
+    controller = sc.build_controller()
+    jobs = [(controller, sc.sim, i, x0) for i, x0 in enumerate(ics)]
     trajs: dict[int, Trajectory] = {}
     if parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -579,8 +589,9 @@ def run_scenario(sc: Scenario, parallel: int = 1, out_dir: str | None = None,
 
     validation = validate_scenario(sc) if include_validation else None
     report = RunReport(scenario=sc.name, seed=run_seed,
-                       epsilon=sc.resolved_epsilon(),
-                       kappa=sc.resolved_kappa(),
+                       epsilon=controller.params.epsilon,
+                       # the conic law has no repulsion gain
+                       kappa=getattr(controller.params, "kappa", None),
                        results=results, validation=validation)
     if out_dir is not None:
         with open(os.path.join(out_dir, f"{sc.name}_summary.json"), "w") as fh:

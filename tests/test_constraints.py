@@ -296,7 +296,6 @@ def test_validate_kernel_cap_center_ok():
     c = cap([0.0, 1.0, 0.0], 0.5)
     rep = validate_kernel(c, c.axis, samples=60)
     assert rep.ok
-    assert rep.reverse_worst >= -1e-9
 
 
 def test_validate_kernel_outside_point():
@@ -413,7 +412,15 @@ def test_dilation_threshold_angle_arithmetic():
     assert abs(thr - expected) <= 1e-12
 
 
-def test_region_disjointness_ok_and_witness():
+def _overlaps_point_by_point(arr, x_d, eps, samples, seed):
+    """(overlaps, witness) from region_membership at each of the check's samples."""
+    pts = geo.sample_uniform_many(arr.dimension, samples, np.random.default_rng(seed))
+    both = [p for p in pts
+            if sum(region_membership(p, i, arr, x_d, eps) for i in range(len(arr))) >= 2]
+    return len(both), (both[0] if both else None)
+
+
+def test_region_disjointness_ok_and_witness(star4):
     xd = np.array([0.0, 0.0, 1.0])
     w = np.array([1.0, 0.0, 0.0])
     # opposite sides of the target: shadows point away from each other
@@ -430,6 +437,20 @@ def test_region_disjointness_ok_and_witness():
     assert rep2.witness is not None
     assert region_membership(rep2.witness, 0, arr2, xd, 0.02)
     assert region_membership(rep2.witness, 1, arr2, xd, 0.02)
+    # the prefilter drops only non-members: overlaps and witness agree with a
+    # point-by-point walk.  A region paired with itself overlaps exactly on
+    # its shadow's members; the exceptional cap's shadow is seen from -x_d.
+    exceptional = cap(geo.rotate_toward(-xd, w, 0.54), 0.5)
+    s0, s1 = star4.arrangement.sets[:2]
+    for arr_c, target, eps, n, members in (
+            (arr2, xd, 0.02, 2000, True),
+            (ConstraintArrangement([exceptional, exceptional]), xd, 0.05, 200, True),
+            (ConstraintArrangement([s0, s1]), star4.target, 0.05, 200, False),
+            (ConstraintArrangement([s0, s0]), star4.target, 0.05, 200, True)):
+        rep_c = validate_region_disjointness(arr_c, target, eps, samples=n, seed=3)
+        overlaps, witness = _overlaps_point_by_point(arr_c, target, eps, n, 3)
+        assert rep_c.overlaps == overlaps and (overlaps > 0) == members
+        assert np.array_equal(rep_c.witness, witness) if overlaps else rep_c.witness is None
     # single set: vacuously disjoint
     rep3 = validate_region_disjointness(ConstraintArrangement([cap(a1, 0.25)]),
                                         xd, 0.02, samples=100)

@@ -8,6 +8,7 @@ import pytest
 
 from sphere_nav import geometry as geo
 from sphere_nav.cli import main as cli_main
+from sphere_nav.constraints import pairwise_separation
 from sphere_nav.errors import InvariantViolation, ScenarioParseError
 from sphere_nav.scenario import (
     draw_initial_conditions,
@@ -67,11 +68,12 @@ MALFORMED_REGIONS = [
     (star_block(kernel="centre"), "kernel"),
     (star_block(normal="up"), "normal"),
     (star_block(resolution="fine"), "resolution"),
+    (star_block(resolution=-5), "resolution"),
 ]
 
-# (section, key, value, fragment): a non-numeric value the parser must list
-# as a violation; section None is the top level
-NON_NUMERIC_FIELDS = [
+# (section, key, value, fragment): a non-numeric or out-of-range value the
+# parser must list as a violation; section None is the top level
+MALFORMED_FIELDS = [
     (None, "target", "north", "target"),
     (None, "dimension", "three", "dimension"),
     ("controller", "k1", "fast", "k1"),
@@ -80,6 +82,8 @@ NON_NUMERIC_FIELDS = [
     ("initial_conditions", "count", "many", "count"),
     ("initial_conditions", "seed", "lucky", "seed"),
     ("sim", "dt", None, "sim"),
+    ("controller", "kappa", None, "kappa"),
+    ("initial_conditions", "seed", -1, "seed"),
 ]
 
 
@@ -87,7 +91,7 @@ def malformed_docs():
     for block, fragment in MALFORMED_REGIONS:
         yield tiny_scenario_doc(constraints=[block]), fragment
     yield tiny_scenario_doc(constraints=[]), "at least one region"
-    for section, key, value, fragment in NON_NUMERIC_FIELDS:
+    for section, key, value, fragment in MALFORMED_FIELDS:
         doc = tiny_scenario_doc()
         (doc if section is None else doc[section])[key] = value
         yield doc, fragment
@@ -175,6 +179,9 @@ def test_validate_cones7_report(cones7):
     assert rep.epsilon == 0.015
     assert all(rep.kernel_ok)
     assert rep.regions_disjoint
+    # a later validation at another seed measures the separation at its seed
+    rep7 = validate_scenario(cones7, samples=500, kernel_samples=40, seed=7)
+    assert rep7.delta_measured == pairwise_separation(cones7.arrangement, seed=7)
 
 
 def test_validate_flags_infeasible_band(star1):
@@ -214,7 +221,9 @@ def test_run_empty_ic_list(tmp_path):
 
 
 def test_run_outputs_and_determinism(tmp_path):
-    sc = parse_scenario(write_doc(tmp_path, tiny_scenario_doc()))
+    doc = tiny_scenario_doc()
+    doc["constraints"].append(star_block())
+    sc = parse_scenario(write_doc(tmp_path, doc))
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     rep1 = run_scenario(sc, out_dir=str(out1))
     rep2 = run_scenario(sc, out_dir=str(out2))
@@ -245,14 +254,19 @@ def test_csv_format(tmp_path):
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-10
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    sc = parse_scenario(write_doc(tmp_path, tiny_scenario_doc()))
+def test_seed_env_override(tmp_path, monkeypatch, capsys):
+    sc_path = write_doc(tmp_path, tiny_scenario_doc())
+    sc = parse_scenario(sc_path)
     base = draw_initial_conditions(sc, 5)
     monkeypatch.setenv("SPHERE_NAV_SEED", "6")
     from sphere_nav.scenario import effective_seed
     assert effective_seed(sc) == 6
     other = draw_initial_conditions(sc, effective_seed(sc))
     assert not np.allclose(base[0], other[0])
+    # a seed that is not an integer is a runtime failure, not a traceback
+    monkeypatch.setenv("SPHERE_NAV_SEED", "abc")
+    assert cli_main(["run", sc_path]) == 2
+    assert "runtime failure" in capsys.readouterr().err
     monkeypatch.delenv("SPHERE_NAV_SEED")
     assert effective_seed(sc) == 5
 
@@ -296,6 +310,9 @@ def test_cli_run_and_outputs(tmp_path, capsys):
     assert "tiny_plot_long.csv" in names
     long_lines = (out / "tiny_plot_long.csv").read_text().splitlines()
     assert long_lines[0] == "t,d_target,d_unsafe,ic_id"
+    # a negative seed is a runtime failure, not a traceback
+    assert cli_main(["run", sc_path, "--seed", "-1"]) == 2
+    assert "runtime failure" in capsys.readouterr().err
 
 
 def test_cli_diagnose(tmp_path, capsys):
