@@ -16,8 +16,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import InvariantViolation, ScenarioParseError, SphereNavError
 from .scenario import (
     diagnose_scenario,
@@ -57,12 +55,8 @@ def cmd_run(args) -> int:
     sc, err = _load(args.scenario)
     if sc is None:
         return err
-    try:
-        report = run_scenario(sc, parallel=args.parallel, out_dir=args.out,
-                              seed=args.seed, include_validation=True)
-    except SphereNavError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    report = run_scenario(sc, parallel=args.parallel, out_dir=args.out,
+                          seed=args.seed, include_validation=True)
     print(report.to_json(), end="")
     if any(r.verdict == "aborted" for r in report.results):
         return EXIT_RUNTIME
@@ -73,19 +67,10 @@ def cmd_diagnose(args) -> int:
     sc, err = _load(args.scenario)
     if sc is None:
         return err
-    points = []
-    if args.at:
-        try:
-            points.append(np.asarray([float(v) for v in args.at.split(",")]))
-        except ValueError:
-            print("--at expects a comma-separated coordinate list", file=sys.stderr)
-            return EXIT_RUNTIME
-    try:
-        report = diagnose_scenario(sc, points=points,
-                                   equilibria=args.equilibria or not points)
-    except SphereNavError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    # diagnose_scenario checks the coordinates (numeric, unit, right count)
+    points = [args.at.split(",")] if args.at else []
+    report = diagnose_scenario(sc, points=points,
+                               equilibria=args.equilibria or not points)
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -101,6 +86,10 @@ def cmd_sweep(args) -> int:
         return EXIT_RUNTIME
     if args.param not in ("kappa", "k1", "epsilon", "dt"):
         print(f"unsupported sweep parameter {args.param!r}", file=sys.stderr)
+        return EXIT_RUNTIME
+    if args.param == "kappa" and sc.law != "star-piecewise":
+        print(f"only the star-piecewise law reads kappa; this scenario uses {sc.law}",
+              file=sys.stderr)
         return EXIT_RUNTIME
     out = []
     for v in values:
@@ -159,7 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SphereNavError as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -45,6 +45,9 @@ INTERIOR_TOL = 1e-12          # strictly-inside test threshold
 REFINE_STOP = 1e-7            # successive-estimate gap that ends refinement
 KERNEL_GRID = 64              # geodesic steps per kernel-check walk
 KERNEL_TOL = 1e-9             # membership closure along the kernel-check walks
+SELF_TEST_CHORDS = 40         # boundary chords checked when a star region is built
+SELF_TEST_POINTS = 20         # points per chord in that self-test
+SELF_TEST_TOL = 1e-9          # largest distance allowed from a chord point to its geodesic
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +151,10 @@ class PowerSumProfile:
     def __init__(self, exponents, level: float):
         self.exponents = np.asarray(exponents, dtype=float)
         self.level = float(level)
-        if self.level <= 0 or np.any(self.exponents <= 0):
-            raise DomainError("power-sum profile needs positive exponents and level")
+        e = self.exponents
+        if not (0 < self.level < np.inf and np.all((0 < e) & (e < np.inf))):
+            raise DomainError("power-sum profile needs positive exponents and level, "
+                              "all finite")
         self._equal_e = float(self.exponents[0]) if np.all(
             self.exponents == self.exponents[0]) else None
 
@@ -200,8 +205,8 @@ class RadialTableProfile:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 8:
             raise DomainError("radial table needs a flat list of >= 8 radii")
-        if np.any(self.values <= 0):
-            raise DomainError("radial table values must be positive")
+        if not np.all((0 < self.values) & (self.values < np.inf)):
+            raise DomainError("radial table values must be positive and finite")
 
     def radius_fn(self, kernel_s: np.ndarray):
         """Direction rows -> tabulated radius; the table is already about the kernel."""
@@ -720,13 +725,11 @@ def build_projected_star(body: EuclideanStarBody, resolution: int) -> ProjectedS
     return shape
 
 
-def _projection_self_test(shape: ProjectedStarShape, rng: np.random.Generator,
-                          chords: int = 40, lam_points: int = 20,
-                          tol: float = 1e-9):
+def _projection_self_test(shape: ProjectedStarShape, rng: np.random.Generator):
     """Projected boundary chords must land on the connecting geodesics."""
     amb = shape.cache_ambient
     n = amb.shape[0]
-    for _ in range(chords):
+    for _ in range(SELF_TEST_CHORDS):
         i, j = rng.choice(n, size=2, replace=False)
         a, b = amb[i], amb[j]
         ga = geo.normalize(a)
@@ -734,9 +737,9 @@ def _projection_self_test(shape: ProjectedStarShape, rng: np.random.Generator,
         if ga.dot(gb) <= -1.0 + 1e-9:
             continue
         segment = geo.GreatCircleArc(ga, gb)
-        for lam in np.linspace(0.0, 1.0, lam_points):
+        for lam in np.linspace(0.0, 1.0, SELF_TEST_POINTS):
             p = geo.normalize((1.0 - lam) * a + lam * b)
-            if geo.distance_to_arc(p, segment) > tol:
+            if geo.distance_to_arc(p, segment) > SELF_TEST_TOL:
                 raise NotStarShaped(
                     "projected chord left the connecting geodesic; "
                     "the body construction is inconsistent")
@@ -985,33 +988,26 @@ class _Shadow:
             return False
         w = xc - (xc @ self.base) * self.base
         w = w / np.linalg.norm(w)
-        return self.ray_hits_dilation(w, t_x - 1e-12) is not None
+        return self.ray_hits_dilation(w, t_x - 1e-12)
 
-    def ray_hits_dilation(self, w: np.ndarray, t_lo: float):
-        """First t in [t_lo, pi) where the great-circle ray from the base enters D_eps(U).
+    def ray_hits_dilation(self, w: np.ndarray, t_lo: float) -> bool:
+        """Does the great-circle ray from the base meet D_eps(U) at some t in [t_lo, pi)?
 
-        Marches in steps of 1e-3 and returns the crossing parameter
-        (bisection-refined) or None.  A bounding prefilter skips rays whose full
-        circle stays clear of the dilation.
+        Only the windows where the circle passes within ``reach`` of the
+        bounding centre can meet it; none opens when the whole circle stays
+        clear.  The refined distance at t_lo is tested first, then each window
+        is marched in steps of 1e-3.
         """
         step = 1e-3
-        s, base, center, reach, eps = self.region, self.base, self.center, self.reach, self.eps
+        s, base, center, eps = self.region, self.base, self.center, self.eps
         rc = float(np.hypot(center @ base, center @ w))
-        circle_gap = np.arccos(np.clip(rc, -1.0, 1.0))
-        if circle_gap > reach + 1e-9:
-            return None
         phi0 = float(np.arctan2(center @ w, center @ base))
-        if rc < np.cos(reach):
-            return None
-        half = float(np.arccos(np.clip(np.cos(reach) / max(rc, 1e-15), -1.0, 1.0)))
-        windows = []
-        for base_phi in (phi0, phi0 + 2.0 * np.pi, phi0 - 2.0 * np.pi):
-            lo = max(t_lo, base_phi - half)
-            hi = min(np.pi, base_phi + half)
-            if hi > lo:
-                windows.append((lo, hi))
+        half = float(np.arccos(np.clip(np.cos(self.reach) / max(rc, 1e-15), -1.0, 1.0)))
+        windows = [(max(t_lo, c - half), min(np.pi, c + half))
+                   for c in (phi0, phi0 + 2.0 * np.pi, phi0 - 2.0 * np.pi)]
+        windows = [(lo, hi) for lo, hi in windows if hi > lo]
         if not windows:
-            return None
+            return False
 
         def dist_at(ts: np.ndarray) -> np.ndarray:
             pts = np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)
@@ -1022,25 +1018,9 @@ class _Shadow:
             return s.distances_coarse(pts)
 
         if float(dist_at(np.array([t_lo]))[0]) <= eps:
-            return t_lo
-        for lo, hi in windows:
-            ts = np.arange(lo, hi + step, step)
-            ds = dist_at(ts)
-            hits = np.nonzero(ds <= eps)[0]
-            if hits.size == 0:
-                continue
-            k = int(hits[0])
-            if k == 0:
-                return float(ts[0])
-            a, b = float(ts[k - 1]), float(ts[k])
-            for _ in range(50):
-                mid = 0.5 * (a + b)
-                if float(dist_at(np.array([mid]))[0]) <= eps:
-                    b = mid
-                else:
-                    a = mid
-            return b
-        return None
+            return True
+        return any(bool((dist_at(np.arange(lo, hi + step, step)) <= eps).any())
+                   for lo, hi in windows)
 
 
 def region_membership(x, i: int, arr: ConstraintArrangement, x_d,

@@ -37,6 +37,7 @@ from .errors import (
 from .geometry import UnitPoint, coords_of
 
 DEEP_PENETRATION = 1e-6   # beyond this signed penetration the state is rejected
+KAPPA_ARC_GRID = 2048     # steps along each reference arc in suggest_kappa
 
 
 def smoothstep(p: float, eps: float) -> tuple[float, float]:
@@ -60,8 +61,8 @@ class ConicControllerParams:
     x_d: UnitPoint
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.epsilon <= 0:
-            raise DomainError("gain and band width must be positive")
+        if not all(0 < v < np.inf for v in (self.k1, self.epsilon)):
+            raise DomainError("gain and band width must be positive and finite")
         if not isinstance(self.x_d, UnitPoint):
             object.__setattr__(self, "x_d", UnitPoint(coords_of(self.x_d)))
 
@@ -74,8 +75,8 @@ class StarControllerParams:
     x_d: UnitPoint
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.kappa <= 0 or self.epsilon <= 0:
-            raise DomainError("gains and band width must be positive")
+        if not all(0 < v < np.inf for v in (self.k1, self.kappa, self.epsilon)):
+            raise DomainError("gains and band width must be positive and finite")
         if not isinstance(self.x_d, UnitPoint):
             object.__setattr__(self, "x_d", UnitPoint(coords_of(self.x_d)))
 
@@ -303,8 +304,7 @@ class KappaSuggestion:
     per_set: list[KappaPerSet]
 
 
-def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float,
-                  grid: int = 2048) -> KappaSuggestion:
+def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSuggestion:
     """Repulsion-gain bound from the reference arcs target -> kernel antipode.
 
     For each constraint, samples the arc from x_d to -g_i.  Over the portion
@@ -314,7 +314,7 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float,
     contribute zero.  The recommendation is 1.1 * max_i bound, floored at 1e-3.
     """
     xd = UnitPoint(coords_of(x_d))
-    lams = np.linspace(0.0, 1.0, grid + 1)
+    lams = np.linspace(0.0, 1.0, KAPPA_ARC_GRID + 1)
     per: list[KappaPerSet] = []
     for i, s in enumerate(arr.sets):
         g = arr.kernels[i]

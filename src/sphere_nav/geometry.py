@@ -38,8 +38,9 @@ class UnitPoint:
         c = np.array(self.coords, dtype=float)
         if c.ndim != 1 or c.size < 3:
             raise ValueError("expected a flat (n+1)-vector with n >= 2")
-        if abs(float(np.linalg.norm(c)) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"not unit: ||p|| = {float(np.linalg.norm(c))!r}")
+        nrm = float(np.linalg.norm(c))
+        if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # a NaN or infinite coordinate fails too
+            raise ValueError(f"not unit: ||p|| = {nrm!r}")
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 

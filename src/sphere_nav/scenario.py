@@ -66,7 +66,7 @@ from .errors import (
     ScenarioParseError,
     SphereNavError,
 )
-from .geometry import UnitPoint, coords_of
+from .geometry import UnitPoint
 from .simulate import (
     NonSmoothNeighborhood,
     SimConfig,
@@ -76,6 +76,8 @@ from .simulate import (
 )
 
 SEED_ENV_VAR = "SPHERE_NAV_SEED"
+KERNEL_SAMPLES = 120   # boundary samples per kernel check in validate_scenario
+FD_STEP = 1e-5         # finite-difference step of diagnose_scenario's Jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +125,17 @@ class Scenario:
 
 
 def _number_or_violation(value, what: str, violations: list[str], kind=float):
-    """kind(value), or None with a violation when value is not numeric."""
+    """kind(value), or None with a violation when value is not a finite number."""
     try:
-        return kind(value)
+        num = kind(value)
     except (TypeError, ValueError, OverflowError):
         violations.append(f"{what}: not numeric: {value!r}")
         return None
+    # int() already refuses NaN and infinities
+    if kind is not int and not np.isfinite(num).all():
+        violations.append(f"{what}: not finite: {value!r}")
+        return None
+    return num
 
 
 def _vector_or_violation(vec, what: str, dim: int, violations: list[str]):
@@ -286,8 +293,10 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
         violations.append(f"sim: {exc}")
         sim = SimConfig()
 
-    arrangement = ConstraintArrangement(sets, kernels,
-                                        delta_declared=doc.get("delta"))
+    delta = doc.get("delta")
+    if delta is not None and _number_or_violation(delta, "delta", violations) is None:
+        delta = None
+    arrangement = ConstraintArrangement(sets, kernels, delta_declared=delta)
 
     if target is not None and sets:
         margins = arrangement.signed_margins(target)
@@ -391,8 +400,15 @@ class ValidationReport:
 
 
 def validate_scenario(sc: Scenario, samples: int = 20_000,
-                      kernel_samples: int = 120, seed: int = 0) -> ValidationReport:
-    """Run every configuration check and collect failures (never raises)."""
+                      seed: int = 0) -> ValidationReport:
+    """Run every configuration check and collect failures.
+
+    Raises `DomainError`, before any check runs, only for a negative seed or
+    fewer than one Monte-Carlo sample; a failed check never raises.
+    """
+    if seed < 0 or samples < 1:
+        raise DomainError("validation needs a non-negative seed and at least one "
+                          f"sample, got seed {seed} and {samples} samples")
     arr = sc.arrangement
     failures: list[str] = []
 
@@ -418,7 +434,7 @@ def validate_scenario(sc: Scenario, samples: int = 20_000,
 
     kernel_ok, kernel_codes = [], []
     for i, s in enumerate(arr.sets):
-        rep = validate_kernel(s, arr.kernels[i], samples=kernel_samples, seed=seed)
+        rep = validate_kernel(s, arr.kernels[i], samples=KERNEL_SAMPLES, seed=seed)
         kernel_ok.append(rep.ok)
         kernel_codes.append([f.code for f in rep.failures])
         if not rep.ok:
@@ -620,8 +636,17 @@ def _expected_spectrum_note(sc: Scenario, at: str) -> str:
 
 
 def diagnose_scenario(sc: Scenario, points: list | None = None,
-                      equilibria: bool = True, step: float = 1e-5) -> dict:
-    """FD Jacobian spectra at the target, its antipode, and user points."""
+                      equilibria: bool = True) -> dict:
+    """FD Jacobian spectra at the target, its antipode, and user points.
+
+    User points follow the parser's unit-vector rule and are normalized; any
+    other point raises `DomainError` before a controller is built.
+    """
+    problems: list[str] = []
+    user_points = [_unit_or_violation(p, f"point{j}", sc.dimension, problems)
+                   for j, p in enumerate(points or [])]
+    if problems:
+        raise DomainError("; ".join(problems))
     controller = sc.build_controller()
     eps = sc.resolved_epsilon()
     queries: list[tuple[str, np.ndarray]] = []
@@ -630,18 +655,17 @@ def diagnose_scenario(sc: Scenario, points: list | None = None,
         anti = -controller.x_d
         if float(controller.distance_profile(anti).min()) >= eps:
             queries.append(("antipode", anti))
-    for j, p in enumerate(points or []):
-        queries.append((f"point{j}", coords_of(p)))
+    queries += [(f"point{j}", x) for j, x in enumerate(user_points)]
 
     entries = []
     for label, p in queries:
         entry = {"label": label, "x": [float(v) for v in p]}
         try:
-            spec = jacobian_fd(p, controller, step=step)
+            spec = jacobian_fd(p, controller, step=FD_STEP)
         except NonSmoothNeighborhood:
             # shrink the stencil once and retry before giving up
             try:
-                spec = jacobian_fd(p, controller, step=step / 100.0)
+                spec = jacobian_fd(p, controller, step=FD_STEP / 100.0)
                 entry["note"] = "non-smooth neighborhood; step shrunk and retried"
             except NonSmoothNeighborhood:
                 entry["error"] = "non-smooth neighborhood at the requested point"
@@ -652,4 +676,4 @@ def diagnose_scenario(sc: Scenario, points: list | None = None,
         if label in ("target", "antipode"):
             entry["reference"] = _expected_spectrum_note(sc, label)
         entries.append(entry)
-    return {"scenario": sc.name, "step": step, "spectra": entries}
+    return {"scenario": sc.name, "step": FD_STEP, "spectra": entries}

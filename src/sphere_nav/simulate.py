@@ -41,8 +41,8 @@ class SimConfig:
     log_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T < self.dt:
-            raise ValueError("need dt > 0 and T >= dt")
+        if not 0 < self.dt <= self.T < float("inf"):  # NaN fails too
+            raise ValueError("need finite dt and T with 0 < dt <= T")
         if self.log_stride < 1:
             raise ValueError("log stride must be >= 1")
 

@@ -9,7 +9,9 @@ from sphere_nav.constraints import (
     ConstraintArrangement,
     EuclideanStarBody,
     PowerSumProfile,
+    ProjectedStarShape,
     RadialTableProfile,
+    _Shadow,
     build_projected_star,
     complete_basis,
     dilation_threshold,
@@ -455,6 +457,29 @@ def test_region_disjointness_ok_and_witness(star4):
     rep3 = validate_region_disjointness(ConstraintArrangement([cap(a1, 0.25)]),
                                         xd, 0.02, samples=100)
     assert rep3.ok
+
+
+def test_shadow_ray_test_query_budget(star4, monkeypatch):
+    # a membership answer needs the refined query at the sample plus at most
+    # 4 per short window (at most 3 windows), never a crossing search
+    refined, per_row = [0], []
+    max_boundary_dot, contains = ProjectedStarShape.max_boundary_dot, _Shadow.contains
+
+    def counted_dot(self, *args, **kwargs):
+        refined[0] += 1
+        return max_boundary_dot(self, *args, **kwargs)
+
+    def counted_contains(self, xc):
+        before = refined[0]
+        answer = contains(self, xc)
+        per_row.append(refined[0] - before)
+        return answer
+
+    monkeypatch.setattr(ProjectedStarShape, "max_boundary_dot", counted_dot)
+    monkeypatch.setattr(_Shadow, "contains", counted_contains)
+    arr = ConstraintArrangement(star4.arrangement.sets[:2])
+    validate_region_disjointness(arr, star4.target, 0.05, samples=200, seed=3)
+    assert per_row and max(per_row) <= 1 + 3 * 4, max(per_row)
 
 
 def test_exceptional_index_uses_antipode_base():

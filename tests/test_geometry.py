@@ -199,8 +199,9 @@ def test_projected_chord_parameter_matches_projection():
 
 
 def test_unit_point_rejects_non_unit():
-    with pytest.raises(ValueError):
-        geo.UnitPoint(np.array([1.0, 1.0, 0.0]))
+    for coords in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            geo.UnitPoint(np.array(coords))
     p = geo.UnitPoint(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         p.coords[0] = 2.0  # frozen storage

@@ -69,10 +69,17 @@ MALFORMED_REGIONS = [
     (star_block(normal="up"), "normal"),
     (star_block(resolution="fine"), "resolution"),
     (star_block(resolution=-5), "resolution"),
+    ({"type": "cap", "axis": [float("nan"), 0.0, 0.0], "xi": 0.4}, "axis"),
+    (star_block(anchor=[0.0, float("-inf"), 0.0]), "anchor"),
+    (star_block(profile={"kind": "implicit-radial", "exponents": [2.0, 2.0],
+                         "level": float("nan")}), "finite"),
+    (star_block(profile={"kind": "radial-table", "values": [0.3] * 7 + [float("inf")]}),
+     "finite"),
 ]
 
-# (section, key, value, fragment): a non-numeric or out-of-range value the
-# parser must list as a violation; section None is the top level
+# (section, key, value, fragment): a non-numeric, non-finite or out-of-range
+# value the parser must list as a violation; section None is the top level.
+# json writes and reads NaN and Infinity as bare literals.
 MALFORMED_FIELDS = [
     (None, "target", "north", "target"),
     (None, "dimension", "three", "dimension"),
@@ -84,6 +91,15 @@ MALFORMED_FIELDS = [
     ("sim", "dt", None, "sim"),
     ("controller", "kappa", None, "kappa"),
     ("initial_conditions", "seed", -1, "seed"),
+    (None, "target", [float("nan"), 0.0, 0.0], "target"),
+    ("controller", "k1", float("nan"), "k1"),
+    ("controller", "kappa", float("nan"), "kappa"),
+    ("controller", "epsilon", float("inf"), "epsilon"),
+    ("sim", "dt", float("nan"), "sim"),
+    ("sim", "T", float("inf"), "sim"),
+    ("initial_conditions", "explicit", [[float("nan"), 0.0, 0.0]], "explicit"),
+    (None, "delta", "wide", "delta"),
+    (None, "delta", float("nan"), "delta"),
 ]
 
 
@@ -170,7 +186,7 @@ def test_explicit_unsafe_ic_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_validate_cones7_report(cones7):
-    rep = validate_scenario(cones7, samples=4000, kernel_samples=40)
+    rep = validate_scenario(cones7, samples=4000)
     assert rep.ok, rep.failures
     # honest measured separation of the seven caps: 1 - cos(pi/2 - pi/3)
     assert abs(rep.delta_measured - (1 - np.cos(np.pi / 6))) <= 1e-4
@@ -180,7 +196,7 @@ def test_validate_cones7_report(cones7):
     assert all(rep.kernel_ok)
     assert rep.regions_disjoint
     # a later validation at another seed measures the separation at its seed
-    rep7 = validate_scenario(cones7, samples=500, kernel_samples=40, seed=7)
+    rep7 = validate_scenario(cones7, samples=500, seed=7)
     assert rep7.delta_measured == pairwise_separation(cones7.arrangement, seed=7)
 
 
@@ -194,7 +210,7 @@ def test_validate_flags_infeasible_band(star1):
 def test_feasible_bundles_pass_validation(star4, star1_feasible):
     # run-before-validate ordering holds for every feasible bundled scenario
     for sc in (star4, star1_feasible):
-        rep = validate_scenario(sc, samples=2000, kernel_samples=40)
+        rep = validate_scenario(sc, samples=2000)
         assert rep.ok, rep.failures
 
 
@@ -284,6 +300,11 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert cli_main(["validate", scenario_path("s3_star1"),
                      "--samples", "100"]) == 1
     capsys.readouterr()
+    # a seed or sample count the check cannot use is a runtime failure
+    for flags in (["--seed", "-1"], ["--samples", "-5"], ["--samples", "0"]):
+        assert cli_main(["validate", sc_path, *flags]) == 2, flags
+        captured = capsys.readouterr()
+        assert "runtime failure" in captured.err and captured.out == "", flags
 
 
 def test_cli_validate_rejects_bad_file(tmp_path, capsys):
@@ -329,6 +350,16 @@ def test_cli_diagnose(tmp_path, capsys):
     assert "antipode" in labels
     eig2 = sorted(labels["antipode"]["eig_ambient"])
     assert np.allclose(eig2, [1 / 9, 1 / 9, 2 / 9], atol=1e-4)
+    # --at takes a unit vector in the scenario's dimension, normalized ...
+    assert cli_main(["diagnose", sc_path, "--at", "0.6,0,0.8000001"]) == 0
+    point = json.loads(capsys.readouterr().out)["spectra"][-1]
+    assert point["label"] == "point0" and "eig_ambient" in point
+    assert abs(np.linalg.norm(point["x"]) - 1.0) <= 1e-15
+    # ... and nothing else
+    for at in ("1,0", "0,0,0", "2,0,0", "nan,0,0", "0,0,0,1", "north,0,0"):
+        assert cli_main(["diagnose", sc_path, "--at", at]) == 2, at
+        captured = capsys.readouterr()
+        assert "runtime failure" in captured.err and captured.out == "", at
 
 
 def test_cli_diagnose_non_smooth_point(tmp_path, capsys):
@@ -359,6 +390,17 @@ def test_cli_sweep(tmp_path, capsys):
     assert payload["sweep"][0]["n_runs"] == 2
     assert cli_main(["sweep", sc_path, "--param", "dt", "--values", "0"]) == 2
     assert "runtime failure at dt=0" in capsys.readouterr().err
+    for param in ("k1", "kappa", "epsilon", "dt"):
+        assert cli_main(["sweep", sc_path, "--param", param, "--values", "nan"]) == 2
+        assert f"runtime failure at {param}=nan" in capsys.readouterr().err
+    # the conic law never reads kappa, so a kappa sweep would repeat one run
+    doc = tiny_scenario_doc()
+    doc["controller"] = {"law": "conic-gradient", "k1": 1.0, "epsilon": 0.05}
+    conic_path = write_doc(tmp_path, doc, "conic.json")
+    assert cli_main(["sweep", conic_path, "--param", "kappa",
+                     "--values", "0.5,1.0"]) == 2
+    captured = capsys.readouterr()
+    assert "star-piecewise" in captured.err and captured.out == ""
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
