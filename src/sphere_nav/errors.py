@@ -22,7 +22,7 @@ class OriginInsideBody(SphereNavError):
 
 
 class NotStarShaped(SphereNavError):
-    """Sampled segment from the kernel point leaves the body."""
+    """A ray from the kernel point does not cross the body boundary exactly once."""
 
 
 class TargetInsideUnsafe(SphereNavError):

@@ -124,15 +124,24 @@ class Scenario:
         return StarPiecewiseController(self.arrangement, params)
 
 
+def _integer(value) -> int:
+    """int(value) for a whole number; booleans and fractions raise ValueError."""
+    num = int(value)
+    if isinstance(value, bool) or num != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return num
+
+
 def _number_or_violation(value, what: str, violations: list[str], kind=float):
     """kind(value), or None with a violation when value is not a finite number."""
     try:
         num = kind(value)
     except (TypeError, ValueError, OverflowError):
-        violations.append(f"{what}: not numeric: {value!r}")
+        noun = "an integer" if kind is _integer else "numeric"
+        violations.append(f"{what}: not {noun}: {value!r}")
         return None
     # int() already refuses NaN and infinities
-    if kind is not int and not np.isfinite(num).all():
+    if kind is not _integer and not np.isfinite(num).all():
         violations.append(f"{what}: not finite: {value!r}")
         return None
     return num
@@ -144,6 +153,14 @@ def _vector_or_violation(vec, what: str, dim: int, violations: list[str]):
         violations.append(f"{what}: expected {dim + 1} coordinates")
         return None
     return arr
+
+
+def _typed(value, what: str, kind: type, violations: list[str]):
+    """value when it is a JSON object (kind dict) or array (kind list), else empty."""
+    if isinstance(value, kind):
+        return value
+    violations.append(f"{what}: expected a JSON {'object' if kind is dict else 'array'}")
+    return kind()
 
 
 def _unit_or_violation(vec, what: str, dim: int, violations: list[str]):
@@ -158,7 +175,7 @@ def _unit_or_violation(vec, what: str, dim: int, violations: list[str]):
 
 
 def _parse_profile(block: dict, what: str, violations: list[str]):
-    kind = block.get("kind")
+    kind = block.get("kind") if isinstance(block, dict) else None
     try:
         if kind == "implicit-radial":
             form = block.get("form", "power-sum")
@@ -181,7 +198,7 @@ def _parse_profile(block: dict, what: str, violations: list[str]):
 def _parse_constraint(block: dict, dim: int, index: int,
                       violations: list[str]):
     what = f"constraints[{index}]"
-    ctype = block.get("type")
+    ctype = block.get("type") if isinstance(block, dict) else None
     if ctype == "cap":
         axis = _unit_or_violation(block.get("axis"), f"{what}.axis", dim,
                                   violations)
@@ -203,7 +220,7 @@ def _parse_constraint(block: dict, dim: int, index: int,
         kernel, normal = (_vector_or_violation(block.get(key, anchor), f"{what}.{key}",
                                                dim, violations) for key in ("kernel", "normal"))
         resolution = _number_or_violation(block.get("resolution", 2048),
-                                          f"{what}.resolution", violations, int)
+                                          f"{what}.resolution", violations, _integer)
         if resolution is not None and resolution <= 0:
             violations.append(f"{what}.resolution must be positive")
             resolution = None
@@ -249,15 +266,16 @@ def parse_scenario(path: str) -> Scenario:
 
 def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     violations: list[str] = []
+    doc = _typed(doc, "scenario", dict, violations)
     name = doc.get("name") or (os.path.basename(path or "scenario").rsplit(".", 1)[0])
-    dim = _number_or_violation(doc.get("dimension", 0), "dimension", violations, int)
+    dim = _number_or_violation(doc.get("dimension", 0), "dimension", violations, _integer)
     if dim is None or dim < 2:
         violations.append("dimension must be >= 2")
         raise InvariantViolation(violations)
 
     target = _unit_or_violation(doc.get("target"), "target", dim, violations)
 
-    blocks = doc.get("constraints", [])
+    blocks = _typed(doc.get("constraints", []), "constraints", list, violations)
     if not blocks:
         violations.append("constraints: at least one region is required")
     sets, kernels = [], []
@@ -267,7 +285,7 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
             sets.append(s)
             kernels.append(gk)
 
-    ctrl = doc.get("controller", {})
+    ctrl = _typed(doc.get("controller", {}), "controller", dict, violations)
     law = ctrl.get("law")
     if law not in ("conic-gradient", "star-piecewise"):
         violations.append("controller.law must be 'conic-gradient' or 'star-piecewise'")
@@ -284,11 +302,11 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
             if num is not None and num <= 0:
                 violations.append(f"controller.{key} must be positive or 'auto'")
 
-    sim_block = doc.get("sim", {})
+    sim_block = _typed(doc.get("sim", {}), "sim", dict, violations)
     try:
         sim = SimConfig(dt=float(sim_block.get("dt", 1e-3)),
                         T=float(sim_block.get("T", 30.0)),
-                        log_stride=int(sim_block.get("log_stride", 1)))
+                        log_stride=_integer(sim_block.get("log_stride", 1)))
     except (TypeError, ValueError) as exc:
         violations.append(f"sim: {exc}")
         sim = SimConfig()
@@ -309,9 +327,12 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
                 if float(g.coords @ target) <= -1.0 + 1e-9:
                     violations.append(f"kernel {i} is antipodal to the target")
 
-    ic_block = doc.get("initial_conditions", {})
+    ic_block = _typed(doc.get("initial_conditions", {}), "initial_conditions", dict,
+                      violations)
     explicit = []
-    for j, row in enumerate(ic_block.get("explicit", [])):
+    rows = _typed(ic_block.get("explicit", []), "initial_conditions.explicit", list,
+                  violations)
+    for j, row in enumerate(rows):
         v = _unit_or_violation(row, f"initial_conditions.explicit[{j}]", dim,
                                violations)
         if v is not None and sets:
@@ -321,9 +342,10 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
         if v is not None:
             explicit.append(v)
     ic_count, seed = (_number_or_violation(ic_block.get(key, 0), f"initial_conditions.{key}",
-                                           violations, int) for key in ("count", "seed"))
-    if seed is not None and seed < 0:
-        violations.append("initial_conditions.seed must be non-negative")
+                                           violations, _integer) for key in ("count", "seed"))
+    for key, num in (("count", ic_count), ("seed", seed)):
+        if num is not None and num < 0:
+            violations.append(f"initial_conditions.{key} must be non-negative")
 
     if violations:
         raise InvariantViolation(violations)

@@ -22,7 +22,12 @@ from sphere_nav.constraints import (
     validate_kernel,
     validate_region_disjointness,
 )
-from sphere_nav.errors import DomainError, OriginInsideBody, TargetInsideUnsafe
+from sphere_nav.errors import (
+    DomainError,
+    NotStarShaped,
+    OriginInsideBody,
+    TargetInsideUnsafe,
+)
 from sphere_nav.geometry import UnitPoint
 
 
@@ -183,6 +188,45 @@ def test_origin_inside_body_rejected():
                              profile=PowerSumProfile([2.0, 2.0], 0.25))
     with pytest.raises(OriginInsideBody):
         build_projected_star(body, 256)
+
+
+def power_sum_body(anchor, exponents, level, kernel=None):
+    """Power-sum body in the plane normal to `anchor`, kernel at the anchor by default."""
+    a = np.asarray(anchor, dtype=float)
+    g = a if kernel is None else np.asarray(kernel, dtype=float)
+    return EuclideanStarBody(anchor=a, basis=complete_basis(a), kernel_point=g,
+                             profile=PowerSumProfile(exponents, level))
+
+
+def test_body_not_star_shaped_about_its_kernel_rejected():
+    # a concave power-sum body is star-shaped about its anchor only: rays from
+    # a kernel just off it cross the boundary again near the spikes
+    with pytest.raises(NotStarShaped):
+        power_sum_body([0.0, -2.0, 0.0], [0.4, 0.4], 0.5, kernel=[0.05, -2.0, 0.0])
+    anchor = np.array([0.0, 0.0, 0.0, 3.0])
+    with pytest.raises(NotStarShaped):
+        power_sum_body(anchor, [0.4, 0.4, 0.4], 1.0,
+                       kernel=anchor + 0.05 * complete_basis(anchor)[:, 0])
+    # star-shaped bodies whose radius is solved along rays still build
+    for body in (power_sum_body([0.0, -2.0, 0.0], [2.0, 2.0], 0.25,
+                                kernel=[0.05, -2.0, 0.0]),
+                 power_sum_body([0.0, -2.0, 0.0], [0.4, 1.5], 0.5),
+                 power_sum_body([0.0, -2.0, 0.0], [1.0, 2.0], 0.5),
+                 power_sum_body(anchor, [2.0, 3.0, 4.0], 1.0)):
+        build_projected_star(body, 512)
+
+
+def test_bounding_reach_covers_the_region():
+    # mixed exponents have boundary radii below 1, and an off-anchor kernel
+    # sees the body farther out than the anchor does
+    for body in (power_sum_body([0.0, -2.0, 0.0], [0.4, 1.5], 0.5),
+                 power_sum_body([0.0, -2.0, 0.0], [1.0, 2.0], 0.5),
+                 power_sum_body([0.0, -2.0, 0.0], [2.0, 2.0], 0.25,
+                                kernel=[0.05, -2.0, 0.0])):
+        shape = build_projected_star(body, 1024)
+        center, reach = shape.bounding()
+        angles = np.arccos(np.clip(shape.cache_sphere @ center, -1.0, 1.0))
+        assert angles.max() <= reach
 
 
 def test_projected_chords_land_on_geodesics():

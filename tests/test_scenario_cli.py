@@ -75,10 +75,14 @@ MALFORMED_REGIONS = [
                          "level": float("nan")}), "finite"),
     (star_block(profile={"kind": "radial-table", "values": [0.3] * 7 + [float("inf")]}),
      "finite"),
+    (star_block(kernel=[0.05, -2.0, 0.0],
+                profile={"kind": "implicit-radial", "exponents": [0.4, 0.4],
+                         "level": 0.5}), "exactly once"),
 ]
 
-# (section, key, value, fragment): a non-numeric, non-finite or out-of-range
-# value the parser must list as a violation; section None is the top level.
+# (section, key, value, fragment): a value of the wrong JSON type, or one that
+# is non-numeric, not whole where an integer is due, non-finite or out of
+# range, which the parser must list as a violation; section None is the top level.
 # json writes and reads NaN and Infinity as bare literals.
 MALFORMED_FIELDS = [
     (None, "target", "north", "target"),
@@ -100,6 +104,16 @@ MALFORMED_FIELDS = [
     ("initial_conditions", "explicit", [[float("nan"), 0.0, 0.0]], "explicit"),
     (None, "delta", "wide", "delta"),
     (None, "delta", float("nan"), "delta"),
+    (None, "controller", "fast", "controller"),
+    (None, "constraints", [5], "constraints"),
+    (None, "constraints", {"a": 1}, "constraints"),
+    (None, "sim", "x", "sim"),
+    ("initial_conditions", "explicit", 5, "explicit"),
+    ("sim", "log_stride", 2.5, "integer"),
+    ("sim", "log_stride", True, "integer"),
+    (None, "dimension", 3.7, "dimension"),
+    ("initial_conditions", "count", 2.5, "count"),
+    ("initial_conditions", "count", -3, "count"),
 ]
 
 
@@ -111,6 +125,12 @@ def malformed_docs():
         doc = tiny_scenario_doc()
         (doc if section is None else doc[section])[key] = value
         yield doc, fragment
+    yield [tiny_scenario_doc()], "JSON object"
+    # star regions exist on S^2 and S^3 only; caps work on every S^n
+    ball = {"type": "star", "anchor": [3.0, 0.0, 0.0, 0.0, 0.0],
+            "profile": {"kind": "implicit-radial", "exponents": [2.0] * 4, "level": 1.0}}
+    yield tiny_scenario_doc(dimension=4, target=[0.0, 0.0, 0.0, 0.0, 1.0],
+                            constraints=[ball]), "S^2 and S^3"
 
 
 # ---------------------------------------------------------------------------
