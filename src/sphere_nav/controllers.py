@@ -13,10 +13,15 @@ nearest cap.  The star-piecewise law is
 inside the band of width eps around constraint i, and k1 * x_d elsewhere;
 g_i is the validated kernel point of constraint i.
 
-Both laws are pure functions of (state, arrangement, parameters).  They
-evaluate on ambient points near (not exactly on) the sphere so that central
-finite differences of W are well defined; the analytic conic law is the
-exact gradient of that ambient extension, which the FD oracle checks.
+Each law's `control(x)` returns the input u and the active band index (None
+in the far field) from one band search.  The conic law is a pure function of
+(state, arrangement, parameters).  The star law's refined distance queries
+warm-start from the argmax directions of its own previous band search:
+`integrate` clears those seeds at the start of every run, and the monitors
+(`signed_union_margin`) only read them.  Both laws evaluate on ambient points
+near (not exactly on) the sphere so that central finite differences of W are
+well defined; the analytic conic law is the exact gradient of that ambient
+extension, which the FD oracle checks.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (
 from .geometry import UnitPoint, coords_of
 
 DEEP_PENETRATION = 1e-6   # beyond this signed penetration the state is rejected
+BAND_SLACK = 1e-9         # bounding-cap prefilter slack on the band test
 KAPPA_ARC_GRID = 2048     # steps along each reference arc in suggest_kappa
 
 
@@ -84,8 +90,6 @@ class StarControllerParams:
 class ConicGradientController:
     """Negative-gradient law for arrangements made solely of spherical caps."""
 
-    law = "conic-gradient"
-
     def __init__(self, arr: ConstraintArrangement, params: ConicControllerParams):
         if not all(isinstance(s, ConicCap) for s in arr.sets):
             raise DomainError(
@@ -132,15 +136,16 @@ class ConicGradientController:
         d_t = 1.0 - float(xc @ self.x_d)
         return self.params.k1 * d_t / (d_t + beta)
 
-    def control(self, x) -> np.ndarray:
+    def control(self, x) -> tuple[np.ndarray, int | None]:
+        """(u, active band index); the index is None in the far field."""
         xc = coords_of(x)
         k1 = self.params.k1
         beta, beta_p, i = self._band(xc)
         d_t = 1.0 - float(xc @ self.x_d)
         if i is None:
-            return (k1 / (1.0 + d_t) ** 2) * self.x_d
+            return (k1 / (1.0 + d_t) ** 2) * self.x_d, None
         scale = k1 / (beta + d_t) ** 2
-        return scale * (beta * self.x_d - d_t * beta_p * self.axes[i])
+        return scale * (beta * self.x_d - d_t * beta_p * self.axes[i]), i
 
     def signed_union_margin(self, x) -> float:
         return float(self.signed_margins(coords_of(x)).min())
@@ -148,15 +153,9 @@ class ConicGradientController:
     def distance_profile(self, x) -> np.ndarray:
         return np.maximum(self.signed_margins(coords_of(x)), 0.0)
 
-    def active_index(self, x):
-        _, _, i = self._band(coords_of(x))
-        return i
-
 
 class StarPiecewiseController:
     """Piecewise attractive/repulsive law for star-shaped (or cap) regions."""
-
-    law = "star-piecewise"
 
     def __init__(self, arr: ConstraintArrangement, params: StarControllerParams):
         self.arr = arr
@@ -176,26 +175,25 @@ class StarPiecewiseController:
     def reset_eval_cache(self):
         self._warm.clear()
 
-    def _signed_margin_set(self, i: int, x: np.ndarray) -> float:
-        margin, self._warm[i] = self.arr.sets[i].distance_warm(x, self._warm.get(i))
-        return margin
-
-    def _candidates(self, x: np.ndarray, slack: float) -> list[int]:
+    def _candidates(self, x: np.ndarray) -> list[int]:
         out = []
         for i, (center, radius) in enumerate(self._bounds):
             gap = np.arccos(np.clip(center @ x / max(np.linalg.norm(x), 1e-300),
                                     -1.0, 1.0)) - radius
             lb = 1.0 - np.cos(max(gap, 0.0))
-            if lb <= self.params.epsilon + slack:
+            if lb <= self.params.epsilon + BAND_SLACK:
                 out.append(i)
         return out
 
     def _band(self, x: np.ndarray):
-        """(d_i, i) for the active band, or (None, None) in the far field."""
+        """(d_i, i) for the active band, or (None, None) in the far field.
+
+        The only writer of the warm seeds: each query seeds the next one.
+        """
         eps = self.params.epsilon
         hits = []
-        for i in self._candidates(x, slack=1e-9):
-            sm = self._signed_margin_set(i, x)
+        for i in self._candidates(x):
+            sm, self._warm[i] = self.arr.sets[i].distance_warm(x, self._warm.get(i))
             if sm < -DEEP_PENETRATION:
                 raise InsideUnsafe(f"state penetrates constraint {i} by {-sm:.3e}")
             if sm <= eps:
@@ -208,17 +206,19 @@ class StarPiecewiseController:
         i, d_i = hits[0]
         return d_i, i
 
-    def control(self, x) -> np.ndarray:
+    def control(self, x) -> tuple[np.ndarray, int | None]:
+        """(u, active band index); the index is None in the far field."""
         xc = coords_of(x)
         k1 = self.params.k1
         d_i, i = self._band(xc)
         if i is None:
-            return k1 * self.x_d
+            return k1 * self.x_d, None
         w = d_i / self.params.epsilon
         return k1 * (w * self.x_d - (1.0 / self.params.kappa) * (1.0 - w)
-                     * self.kernels[i])
+                     * self.kernels[i]), i
 
     def signed_union_margin(self, x) -> float:
+        """Smallest signed margin; reads the warm seeds but never stores them."""
         xc = coords_of(x)
         best = np.inf
         order = []
@@ -229,16 +229,12 @@ class StarPiecewiseController:
         for lb, i in order:
             if lb >= best:
                 break
-            best = min(best, self._signed_margin_set(i, xc))
+            best = min(best, self.arr.sets[i].distance_warm(xc, self._warm.get(i))[0])
         return float(best)
 
     def distance_profile(self, x) -> np.ndarray:
         xc = coords_of(x)
         return self.arr.distances(xc)
-
-    def active_index(self, x):
-        _, i = self._band(coords_of(x))
-        return i
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +248,12 @@ def navigation_value(x, arr: ConstraintArrangement,
 
 def conic_control(x, arr: ConstraintArrangement,
                   params: ConicControllerParams) -> np.ndarray:
-    return ConicGradientController(arr, params).control(x)
+    return ConicGradientController(arr, params).control(x)[0]
 
 
 def star_control(x, arr: ConstraintArrangement,
                  params: StarControllerParams) -> np.ndarray:
-    return StarPiecewiseController(arr, params).control(x)
+    return StarPiecewiseController(arr, params).control(x)[0]
 
 
 def conic_control_fd(x, arr: ConstraintArrangement,

@@ -201,19 +201,6 @@ def distance_to_arc(x, segment: GreatCircleArc) -> float:
     return 1.0 - max(xa, xb)
 
 
-def projected_chord_parameter(theta: float, lam: float) -> float:
-    """Segment parameter whose radial projection lands on the arc point at lam.
-
-    For a chord between two points subtending angle theta, the point
-    (1-mu)a + mu b projects onto the great circle at arc parameter lam when
-    mu = sin(lam*theta) / (sin(lam*theta) + sin((1-lam)*theta)).  Strictly
-    increasing in lam for theta in (0, pi).
-    """
-    s1 = np.sin(lam * theta)
-    s0 = np.sin((1.0 - lam) * theta)
-    return float(s1 / (s1 + s0))
-
-
 def tangent_basis(x) -> np.ndarray:
     """Deterministic orthonormal basis of T_x(S^n), shape (n+1, n)."""
     xc = coords_of(x)

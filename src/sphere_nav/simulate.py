@@ -8,7 +8,10 @@ byte for byte.  Early termination fires when d_s(x, x_d) < 1e-8.
 A trajectory records, per logged step: the state, the raw control, the
 distance to the target, the signed distance to the unsafe union (negative
 means penetration), the active constraint index, and the band-angle cosine
-diagnostic for the active constraint.
+diagnostic for the active constraint.  A log row is the state's own law
+evaluation, which is also the first RK4 stage of the step from that state,
+so every state is evaluated once and the states do not depend on the log
+stride.  An aborted run's last row has u = 0 and no band.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class Trajectory:
 def closed_loop_field(x, controller: Controller) -> geo.TangentVector:
     """Tangential closed-loop velocity P(x) u(x), attached at x."""
     xc = coords_of(x)
-    u = controller.control(xc)
+    u, _ = controller.control(xc)
     return geo.project_to_tangent(xc, u)
 
 
@@ -137,23 +140,6 @@ def lyapunov_alignment(x, x_d, g) -> float:
     return float(pxd @ px) / (npx * npxd)
 
 
-def _log_row(controller: Controller, t: float, x: np.ndarray, u: np.ndarray):
-    d_t = 1.0 - float(x @ controller.x_d)
-    margin = controller.signed_union_margin(x)
-    try:
-        i = controller.active_index(x)
-    except (InsideUnsafe, MultipleActiveConstraints):
-        i = None
-    v = np.nan
-    if i is not None:
-        try:
-            v = lyapunov_alignment(x, controller.x_d,
-                                   controller.arr.kernels[i])
-        except DegenerateProjection:
-            v = np.nan
-    return d_t, margin, (-1 if i is None else i), v
-
-
 def integrate(x0, controller: Controller, cfg: SimConfig) -> Trajectory:
     """Fixed-step RK4 run from x0 until convergence, T, or an abort condition."""
     x = coords_of(x0).astype(float).copy()
@@ -169,51 +155,55 @@ def integrate(x0, controller: Controller, cfg: SimConfig) -> Trajectory:
     ts, xs, us = [], [], []
     dts_, duns, acts, vs = [], [], [], []
 
-    def log(t, x, u):
-        d_t, margin, a, v = _log_row(controller, t, x, u)
+    def log(t, x, u, i):
+        v = np.nan
+        if i is not None:
+            try:
+                v = lyapunov_alignment(x, controller.x_d, controller.arr.kernels[i])
+            except DegenerateProjection:
+                pass
         ts.append(t); xs.append(x.copy()); us.append(u.copy())
-        dts_.append(d_t); duns.append(margin); acts.append(a); vs.append(v)
+        dts_.append(1.0 - float(x @ controller.x_d))
+        duns.append(controller.signed_union_margin(x))
+        acts.append(-1 if i is None else i); vs.append(v)
 
     def finish(verdict, note=""):
         return Trajectory(ts, xs, us, dts_, duns, acts, vs, verdict, note)
 
     if controller.signed_union_margin(x) < -1e-12:
-        u0 = np.zeros_like(x)
-        log(0.0, x, u0)
+        log(0.0, x, np.zeros_like(x), None)
         return finish("aborted", "start inside the unsafe region")
 
     def f(y):
         # stage points are radially projected before evaluating the law, so
         # every control query sees an on-sphere state
         y = y / np.linalg.norm(y)
-        u = controller.control(y)
-        return u - (y @ u) * y
+        u, i = controller.control(y)
+        return u - (y @ u) * y, u, i
 
-    t = 0.0
+    t, k = 0.0, 0
     try:
-        u_now = controller.control(x)
-        log(t, x, u_now)
-        if 1.0 - float(x @ controller.x_d) < CONVERGENCE_TOL:
-            return finish("converged")
-        for k in range(1, n_steps + 1):
-            k1 = f(x)
-            k2 = f(x + 0.5 * dt * k1)
-            k3 = f(x + 0.5 * dt * k2)
-            k4 = f(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            x /= np.linalg.norm(x)
-            t = k * dt
-            d_t = 1.0 - float(x @ controller.x_d)
-            if not np.isfinite(d_t):
-                return finish("aborted", "non-finite state")
-            done = d_t < CONVERGENCE_TOL
+        while True:
+            # the state's one law evaluation: its log row and the first stage
+            k1, u, i = f(x)
+            done = 1.0 - float(x @ controller.x_d) < CONVERGENCE_TOL
             if k % cfg.log_stride == 0 or done or k == n_steps:
-                log(t, x, controller.control(x))
+                log(t, x, u, i)
             if done:
                 return finish("converged")
-        return finish("max_time")
+            if k == n_steps:
+                return finish("max_time")
+            k2 = f(x + 0.5 * dt * k1)[0]
+            k3 = f(x + 0.5 * dt * k2)[0]
+            k4 = f(x + dt * k3)[0]
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x /= np.linalg.norm(x)
+            k += 1
+            t = k * dt
+            if not np.isfinite(x @ controller.x_d):
+                return finish("aborted", "non-finite state")
     except InsideUnsafe as exc:
-        log(t, x, np.zeros_like(x))
+        log(t, x, np.zeros_like(x), None)
         return finish("aborted", f"entered the unsafe interior: {exc}")
     except MultipleActiveConstraints as exc:
         return finish("aborted", f"band uniqueness violated: {exc}")
@@ -328,7 +318,7 @@ def jacobian_fd(x, controller: Controller, step: float = 1e-5) -> JacobianSpectr
             "state is within the finite-difference guard of a control kink")
 
     def ffield(y):
-        u = controller.control(y)
+        u, _ = controller.control(y)
         return u - (y @ u) * y
 
     m = xc.size
@@ -374,32 +364,18 @@ class _QuaternionField:
 
     def __init__(self, controller: Controller):
         self._inner = controller
-        self.arr = controller.arr
-        self.params = controller.params
-        self.x_d = controller.x_d
-        self.law = controller.law + "+quaternion"
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
     def control(self, x):
         # called on unit states; A A^T there equals the tangent projector, so
         # the integrator's own projection perturbs this by roundoff only
         xc = coords_of(x)
         A = attitude_kinematics_matrix(xc)
-        omega = 2.0 * (A.T @ self._inner.control(xc))
-        return 0.5 * (A @ omega)
-
-    def signed_union_margin(self, x):
-        return self._inner.signed_union_margin(x)
-
-    def distance_profile(self, x):
-        return self._inner.distance_profile(x)
-
-    def active_index(self, x):
-        return self._inner.active_index(x)
-
-    def reset_eval_cache(self):
-        reset = getattr(self._inner, "reset_eval_cache", None)
-        if reset is not None:
-            reset()
+        u, i = self._inner.control(xc)
+        omega = 2.0 * (A.T @ u)
+        return 0.5 * (A @ omega), i
 
 
 def integrate_quaternion(x0, controller: Controller, cfg: SimConfig) -> Trajectory:

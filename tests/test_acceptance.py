@@ -243,7 +243,7 @@ def test_criterion_5_gradient_equivalence(cones7):
             x = geo.sample_uniform_many(3, 1, rng)[0]
             if ctrl.signed_union_margin(x) <= 1e-3:
                 continue
-            ua = ctrl.control(x)
+            ua = ctrl.control(x)[0]
             uf = conic_control_fd(x, arr, params)
             pa = ua - (x @ ua) * x
             pf = uf - (x @ uf) * x

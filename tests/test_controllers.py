@@ -137,10 +137,10 @@ def test_conic_control_matches_fd_gradient():
         x = geo.sample_uniform_many(3, 1, rng)[0]
         if ctrl.signed_union_margin(x) <= 1e-3:
             continue
-        ua = proj(x, ctrl.control(x))
+        ua = proj(x, ctrl.control(x)[0])
         uf = proj(x, conic_control_fd(x, arr, params))
         assert np.linalg.norm(ua - uf) <= 1e-4 * max(np.linalg.norm(uf), 1e-12)
-        if ctrl.active_index(x) is None and np.linalg.norm(uf) > 1e-6:
+        if ctrl.control(x)[1] is None and np.linalg.norm(uf) > 1e-6:
             # far field: the descent direction is the projected target pull
             pxd = proj(x, XD)
             cosang = (uf @ pxd) / (np.linalg.norm(uf) * np.linalg.norm(pxd))
@@ -221,10 +221,10 @@ def test_control_stays_in_two_vector_span():
         x = geo.sample_uniform_many(3, 1, rng)[0]
         if ctrl_c.signed_union_margin(x) < 0.0:
             continue
-        i = ctrl_c.active_index(x)
+        i = ctrl_c.control(x)[1]
         span = [XD] if i is None else [XD, arr.sets[i].axis.coords]
         B = np.linalg.qr(np.column_stack(span))[0][:, :len(span)]
-        for u in (ctrl_s.control(x), ctrl_c.control(x)):
+        for u in (ctrl_s.control(x)[0], ctrl_c.control(x)[0]):
             resid = u - B @ (B.T @ u)
             assert np.linalg.norm(resid) <= 1e-12
         tested += 1

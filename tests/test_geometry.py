@@ -173,31 +173,6 @@ def test_sample_uniform():
     assert np.all(np.abs(pts.mean(axis=0)) < 0.05)
 
 
-def test_projected_chord_parameter_monotone():
-    for theta in (0.3, 1.2, 2.8):
-        lams = np.linspace(0.0, 1.0, 101)
-        mus = np.array([geo.projected_chord_parameter(theta, t) for t in lams])
-        assert mus[0] == 0.0 and abs(mus[-1] - 1.0) <= 1e-15
-        assert np.all(np.diff(mus) > 0.0)
-
-
-def test_projected_chord_parameter_matches_projection():
-    # the segment point at the matched parameter projects onto the arc point
-    rng = np.random.default_rng(21)
-    a = 1.7 * geo.sample_uniform_many(3, 1, rng)[0]
-    b = 0.6 * geo.sample_uniform_many(3, 1, rng)[0]
-    ga, gb = geo.normalize(a), geo.normalize(b)
-    theta = np.arccos(np.clip(ga.dot(gb), -1, 1))
-    for lam in np.linspace(0.0, 1.0, 21):
-        mu = geo.projected_chord_parameter(theta, lam)
-        # equal-norm endpoints make the correspondence literal; rescale first
-        an = a / np.linalg.norm(a)
-        bn = b / np.linalg.norm(b)
-        seg_point = geo.normalize((1 - mu) * an + mu * bn)
-        arc_point = geo.slerp(ga, gb, lam)
-        assert geo.spherical_distance(seg_point, arc_point) <= 1e-14
-
-
 def test_unit_point_rejects_non_unit():
     for coords in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
         with pytest.raises(ValueError):
