@@ -22,10 +22,20 @@ warm-start from the argmax directions of its own previous band search:
 near (not exactly on) the sphere so that central finite differences of W are
 well defined; the analytic conic law is the exact gradient of that ambient
 extension, which the FD oracle checks.
+
+Away from every band both laws steer the state along the geodesic to x_d at
+a speed that depends only on theta = angle(x, x_d): the conic law gives
+theta' = -k1 sin(theta)/(2 - cos(theta))^2 and the star law theta' =
+-k1 sin(theta).  Each law states that flow as its `far_field_clock(v)` in
+v = ln tan(theta/2): the far field takes tau(v0) - tau(v) to carry a state
+from v0 to v, with k1 tau(v) = 5v + 4 ln cosh v - tanh v for the conic law
+and k1 tau(v) = v for the star law.  `simulate.integrate` uses it to cross
+band-free stretches in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +160,19 @@ class ConicGradientController:
     def signed_union_margin(self, x) -> float:
         return float(self.signed_margins(coords_of(x)).min())
 
+    def far_field_clock(self, v: float) -> tuple[float, float]:
+        """(tau(v), tau'(v)) with k1 tau(v) = 5v + 4 ln cosh v - tanh v.
+
+        With v = ln tan(theta/2), cos(theta) = -tanh(v), the far field
+        theta' = -k1 sin(theta)/(2 - cos(theta))^2 reads v' = -k1/(2 + tanh v)^2,
+        so tau'(v) = (2 + tanh v)^2 / k1 lies in [1/k1, 9/k1] and tau is convex.
+        """
+        a = abs(v)
+        th = math.tanh(v)
+        ln_cosh = a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
+        k1 = self.params.k1
+        return (5.0 * v + 4.0 * ln_cosh - th) / k1, (2.0 + th) ** 2 / k1
+
     def distance_profile(self, x) -> np.ndarray:
         return np.maximum(self.signed_margins(coords_of(x)), 0.0)
 
@@ -216,6 +239,11 @@ class StarPiecewiseController:
         w = d_i / self.params.epsilon
         return k1 * (w * self.x_d - (1.0 / self.params.kappa) * (1.0 - w)
                      * self.kernels[i]), i
+
+    def far_field_clock(self, v: float) -> tuple[float, float]:
+        """(tau(v), tau'(v)) with k1 tau(v) = v: theta' = -k1 sin(theta) reads v' = -k1."""
+        k1 = self.params.k1
+        return v / k1, 1.0 / k1
 
     def signed_union_margin(self, x) -> float:
         """Smallest signed margin; reads the warm seeds but never stores them."""

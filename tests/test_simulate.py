@@ -1,9 +1,13 @@
 """Closed-loop integration, monitors, spectra, and the attitude adapter."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from sphere_nav import geometry as geo
+from sphere_nav import simulate
 from sphere_nav.constraints import ConicCap, ConstraintArrangement
 from sphere_nav.controllers import (
     ConicControllerParams,
@@ -81,6 +85,13 @@ def test_integrate_immediate_convergence():
 
 def test_integrate_stalls_at_antipode_on_star_law():
     _, ctrl = star_setup()
+    traj = integrate(-XD, ctrl, SimConfig(dt=1e-3, T=0.5))
+    assert traj.verdict == "max_time"
+    assert geo.spherical_distance(traj.final_state, -XD) <= 1e-12
+
+
+def test_integrate_stays_at_antipode_on_conic_law():
+    _, ctrl = conic_setup()
     traj = integrate(-XD, ctrl, SimConfig(dt=1e-3, T=0.5))
     assert traj.verdict == "max_time"
     assert geo.spherical_distance(traj.final_state, -XD) <= 1e-12
@@ -365,3 +376,127 @@ def test_log_stride_does_not_change_states(star1_feasible):
     shared = np.isin(every.t, tenth.t)
     assert shared.sum() == len(tenth) > 1
     assert np.array_equal(every.x[shared], tenth.x)
+
+
+# ---------------------------------------------------------------------------
+# exact far-field flow
+# ---------------------------------------------------------------------------
+
+def _never_jump(monkeypatch):
+    monkeypatch.setattr(simulate._FarField, "plan",
+                        lambda self, x, dt, steps_left: (0, None))
+
+
+def _record_jumps(monkeypatch):
+    """Anchor states of the far-field jumps the integrator takes."""
+    anchors = []
+    plan = simulate._FarField.plan
+
+    def recording(self, x, dt, steps_left):
+        m, flow = plan(self, x, dt, steps_left)
+        if m:
+            anchors.append(x.copy())
+        return m, flow
+
+    monkeypatch.setattr(simulate._FarField, "plan", recording)
+    return anchors
+
+
+def _rows_of(traj, states):
+    return [int(np.nonzero((traj.x == s).all(axis=1))[0][0]) for s in states]
+
+
+def test_far_field_flow_matches_rk4(monkeypatch, cones7_run, star4_run):
+    # the bundled runs jump across band-free stretches; plain RK4 on the same
+    # grid must agree up to its truncation error
+    _never_jump(monkeypatch)
+    for run, n_ics in ((cones7_run, 3), (star4_run, 2)):
+        for x0, fast in zip(run.ics[:n_ics], run.trajectories):
+            ref = integrate(x0, run.controller, run.scenario.sim)
+            assert fast.verdict == ref.verdict
+            assert len(fast) == len(ref)
+            assert np.array_equal(fast.active, ref.active)
+            assert np.abs(fast.x - ref.x).max() <= 1e-12
+
+
+def _theta(y):
+    c = float(y @ XD)
+    return math.atan2(float(np.linalg.norm(y - c * XD)), c)
+
+
+def _mp_far_field_angle(law, k1, th0, t):
+    """theta(t) of the far field from theta0, at the working mpmath precision."""
+    # the star law's closed form; v = ln tan(theta/2) falls at rate k1 there,
+    # and at a rate within [k1/9, k1] under the conic law
+    fast = 2 * mp.atan(mp.tan(th0 / 2) * mp.exp(-k1 * t))
+    if law == "star":
+        return fast
+    slow = 2 * mp.atan(mp.tan(th0 / 2) * mp.exp(-k1 * t / 9))
+
+    def F(th):
+        return 5 * mp.log(mp.tan(th / 2)) - 4 * mp.log(mp.sin(th)) + mp.cos(th)
+
+    return mp.findroot(lambda th: F(th0) - F(th) - k1 * t, (fast, slow),
+                       solver="anderson")
+
+
+@pytest.mark.parametrize("law", ["conic", "star"])
+def test_far_field_clock_matches_mpmath(law):
+    k1 = 1.3
+    if law == "conic":
+        _, ctrl = conic_setup(k1=k1)
+    else:
+        _, ctrl = star_setup(k1=k1)
+    far = simulate._FarField(ctrl)
+    w = np.array([0.0, 0.0, 0.6, 0.8])   # clear of every cap's band
+    for theta0 in (1e-3, 0.5, 2.0, math.pi - 1e-3):
+        x0 = math.cos(theta0) * XD + math.sin(theta0) * w
+        m, flow = far.plan(x0, 1e-3, 10**9)
+        assert m > 0
+        for t in (1e-3, 0.37, 2.0, 6.5):
+            with mp.workdps(50):
+                ref = _mp_far_field_angle(law, k1, mp.mpf(_theta(x0)), mp.mpf(t))
+            assert abs(_theta(flow(t)) - float(ref)) <= 1e-14, (theta0, t)
+
+
+def test_far_field_jumps_do_not_depend_on_log_stride(monkeypatch, cones7):
+    # an s3_cones7 start whose path jumps, visits a band and jumps again
+    anchors = _record_jumps(monkeypatch)
+    ctrl = cones7.build_controller()
+    x0 = geo.normalize(np.array([-0.3005, 0.7491, 0.4624, 0.3670])).coords
+    every = integrate(x0, ctrl, SimConfig(dt=1e-3, T=60.0, log_stride=1))
+    band = np.nonzero(every.active >= 0)[0]
+    jumps = _rows_of(every, anchors)
+    assert band.size and min(jumps) < band[0] and max(jumps) > band[-1]
+    tenth = integrate(x0, ctrl, SimConfig(dt=1e-3, T=60.0, log_stride=10))
+    shared = np.isin(every.t, tenth.t)
+    assert shared.sum() == len(tenth)
+    assert np.array_equal(every.x[shared], tenth.x)
+    assert np.array_equal(every.active[shared], tenth.active)
+
+
+def test_far_field_jump_stops_at_grazed_band(monkeypatch):
+    # the geodesic from x0 dips into the band of one cap for +-1e-4 rad
+    # around the grid state at t = 1, less than one step (8.6e-4 rad) wide
+    k1, eps, xi, delta = 1.0, 0.015, 0.3, 1e-4
+    theta0, w = 2.0, np.array([0.0, 1.0, 0.0, 0.0])
+    x0 = math.cos(theta0) * XD + math.sin(theta0) * w
+    phi = 2.0 * math.atan(math.tan(0.5 * theta0) * math.exp(-k1 * 1.0))
+    R = math.cos(xi + math.acos(1.0 - eps)) / math.cos(delta)
+    axis = R * (math.cos(phi) * XD + math.sin(phi) * w) \
+        + math.sqrt(1.0 - R * R) * np.array([0.0, 0.0, 1.0, 0.0])
+    arr = ConstraintArrangement([ConicCap(UnitPoint(axis), xi)])
+    ctrl = StarPiecewiseController(arr, StarControllerParams(
+        k1=k1, kappa=1.0, epsilon=eps, x_d=UnitPoint(XD)))
+    cfg = SimConfig(dt=1e-3, T=3.0, log_stride=1)
+    anchors = _record_jumps(monkeypatch)
+    fast = integrate(x0, ctrl, cfg)
+    jumps = _rows_of(fast, anchors)
+    _never_jump(monkeypatch)
+    ref = integrate(x0, ctrl, cfg)
+    band = np.nonzero(ref.active >= 0)[0]
+    assert band.tolist() == [1000]
+    assert min(jumps) < band[0] < max(jumps)
+    assert len(fast) == len(ref)
+    assert np.array_equal(fast.active, ref.active)
+    assert np.abs(fast.x - ref.x).max() <= 1e-12
