@@ -24,11 +24,12 @@ spike axes of power-sum bodies) are part of the cache, so narrow arms between
 grid directions are not missed.  All queries are read-only after construction.
 Star regions exist on S^2 and S^3; a build checks origin clearance and, where
 a radius is solved along rays, that each ray from the kernel crosses the body
-boundary once.
+boundary once.  An arrangement reads each region's ``bounding`` cap once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -55,6 +56,9 @@ ASCENT_MIN_STEP = 1e-8        # the ascent stops once its step falls below this
 ASCENT_ROUNDS = 25            # most rounds of the fallback ascent
 SEED_COUNT = 3                # cold seeds per star distance query
 SEED_SLACK = 0.05             # cold seeds lie within this of the coarse maximum
+BAND_SLACK = 1e-9             # distance slack of the band screen
+KERNEL_SAMPLES = 120          # boundary samples per kernel check
+SEPARATION_SAMPLES = 400      # boundary samples per region in pairwise_separation
 
 
 # ---------------------------------------------------------------------------
@@ -730,13 +734,24 @@ ConstraintSet = ConicCap | ProjectedStarShape
 # ---------------------------------------------------------------------------
 
 class ConstraintArrangement:
-    """Immutable collection of unsafe regions with one kernel point per set."""
+    """Immutable collection of unsafe regions with one kernel point per set.
+
+    Region i lies within angle ``bound_reaches[i]`` of ``bound_centers[i]``
+    (its bounding cap; a cap is its own).  Both laws, the far-field planner
+    and the shadow check read these arrays, directly or through
+    `bound_margins` and `band_screen`.
+    """
 
     def __init__(self, sets, kernels=None, delta_declared: float | None = None):
         self.sets: list[ConstraintSet] = list(sets)
+        if not self.sets:
+            raise DomainError("an arrangement needs at least one region")
         kernels = [None] * len(self.sets) if kernels is None else list(kernels)
         if len(kernels) != len(self.sets):
             raise DomainError("one kernel per constraint set is required")
+        bounds = [s.bounding() for s in self.sets]
+        self.bound_centers = np.array([c for c, _ in bounds])
+        self.bound_reaches = np.array([r for _, r in bounds])
         # a None kernel is the region's own kernel point
         self.kernels: list[UnitPoint] = [
             s.kernel_on_sphere if k is None
@@ -751,7 +766,7 @@ class ConstraintArrangement:
 
     @property
     def dimension(self) -> int:
-        return self.kernels[0].n if self.kernels else 0
+        return self.kernels[0].n
 
     def distances(self, x) -> np.ndarray:
         xc = coords_of(x)
@@ -761,8 +776,26 @@ class ConstraintArrangement:
         xc = coords_of(x)
         return np.array([s.signed_margin(xc) for s in self.sets])
 
+    def bound_margins(self, x: np.ndarray) -> np.ndarray:
+        """sign(g)(1 - cos g) per region, g = angle(x, bound_centers) - bound_reaches.
+
+        The exact signed margin of a cap, a lower bound on a star region's; raw
+        dots with x, so off-sphere stencil points read the ambient extension.
+        """
+        gaps = (np.arccos(np.clip(self.bound_centers @ x, -1.0, 1.0))
+                - self.bound_reaches)
+        return np.sign(gaps) * (1.0 - np.cos(gaps))
+
+    def band_screen(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, cos_reach): x lies within eps of region i only if
+        centers[i] @ x >= cos_reach[i] ||x||.  cos_reach is cos(bound_reaches +
+        arccos(1 - eps - BAND_SLACK)), or -inf where that angle reaches pi.
+        """
+        reach = self.bound_reaches + math.acos(max(1.0 - eps - BAND_SLACK, -1.0))
+        return self.bound_centers, np.where(reach < np.pi, np.cos(reach), -np.inf)
+
     def delta_measured(self, seed: int = 0) -> float:
-        """pairwise_separation at its default sample count, cached per seed."""
+        """pairwise_separation, cached per seed."""
         if seed not in self._delta_measured:
             self._delta_measured[seed] = pairwise_separation(self, seed=seed)
         return self._delta_measured[seed]
@@ -798,8 +831,7 @@ def suggest_epsilon(arr: ConstraintArrangement, x_d, seed: int = 0) -> float:
 # pairwise separation
 # ---------------------------------------------------------------------------
 
-def pairwise_separation(arr: ConstraintArrangement, samples: int = 400,
-                        seed: int = 0) -> float:
+def pairwise_separation(arr: ConstraintArrangement, seed: int = 0) -> float:
     """min over i != j of d_s(U_i, U_j), by cross-sampling plus alternating refinement.
 
     Sampling over boundary pairs can only over-estimate the true minimum;
@@ -814,8 +846,8 @@ def pairwise_separation(arr: ConstraintArrangement, samples: int = 400,
     for i in range(m):
         for j in range(i + 1, m):
             a_set, b_set = arr.sets[i], arr.sets[j]
-            pa = a_set.boundary_samples(samples, rng)
-            pb = b_set.boundary_samples(samples, rng)
+            pa = a_set.boundary_samples(SEPARATION_SAMPLES, rng)
+            pb = b_set.boundary_samples(SEPARATION_SAMPLES, rng)
             dots = pa @ pb.T
             ia, ib = np.unravel_index(np.argmax(dots), dots.shape)
             a, b = pa[ia], pb[ib]
@@ -864,8 +896,7 @@ def _note_first_failure(failures: list[KernelFailure], code: str,
     failures.append(KernelFailure(code, lam=float(lams[j]), at=pts[j]))
 
 
-def validate_kernel(s: ConstraintSet, g, samples: int = 200,
-                    seed: int = 0) -> KernelReport:
+def validate_kernel(s: ConstraintSet, g, seed: int = 0) -> KernelReport:
     """Certify g as a usable kernel point of the region.
 
     Checks: (a) g lies strictly inside; (b) -g lies outside; (c) geodesics
@@ -886,7 +917,7 @@ def validate_kernel(s: ConstraintSet, g, samples: int = 200,
         failures.append(KernelFailure("AntipodeInside"))
 
     rng = np.random.default_rng(seed)
-    boundary = s.boundary_samples(samples, rng)
+    boundary = s.boundary_samples(KERNEL_SAMPLES, rng)
     lams = np.linspace(0.0, 1.0, KERNEL_GRID + 1)
     gp = UnitPoint(gc)
 
@@ -934,8 +965,8 @@ class _Shadow:
         attract = s.distance(-xd) > eps
         self.base = xd if attract else -xd
         self.threshold = dilation_threshold(arr, i, xd, eps) if attract else None
-        self.center, radius = s.bounding()
-        self.reach = min(np.pi, radius + geo.angle_from_distance(eps))
+        self.center = arr.bound_centers[i]
+        self.reach = min(np.pi, arr.bound_reaches[i] + geo.angle_from_distance(eps))
 
     def candidates(self, pts: np.ndarray) -> np.ndarray:
         """Rows that may be members; every row it drops fails `contains`."""

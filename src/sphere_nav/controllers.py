@@ -14,9 +14,12 @@ inside the band of width eps around constraint i, and k1 * x_d elsewhere;
 g_i is the validated kernel point of constraint i.
 
 Each law's `control(x)` returns the input u and the active band index (None
-in the far field) from one band search.  The conic law is a pure function of
-(state, arrangement, parameters).  The star law's refined distance queries
-warm-start from the argmax directions of its own previous band search:
+in the far field) from one band search.  The conic law reads its margins from
+the arrangement's bounding caps (`bound_margins`, exact for caps) and is a
+pure function of (state, arrangement, parameters).  The star law queries a
+region's refined distance only where the arrangement's `band_screen` keeps
+it; those queries warm-start from the argmax directions of its own previous
+band search:
 `integrate` clears those seeds at the start of every run, and the monitors
 (`signed_union_margin`) only read them.  Both laws evaluate on ambient points
 near (not exactly on) the sphere so that central finite differences of W are
@@ -52,7 +55,6 @@ from .errors import (
 from .geometry import UnitPoint, coords_of
 
 DEEP_PENETRATION = 1e-6   # beyond this signed penetration the state is rejected
-BAND_SLACK = 1e-9         # bounding-cap prefilter slack on the band test
 KAPPA_ARC_GRID = 2048     # steps along each reference arc in suggest_kappa
 
 
@@ -108,20 +110,10 @@ class ConicGradientController:
         self.arr = arr
         self.params = params
         self.x_d = params.x_d.coords
-        self.axes = np.array([s.axis.coords for s in arr.sets]) \
-            if arr.sets else np.zeros((0, self.x_d.size))
-        self.xi = np.array([s.xi for s in arr.sets])
-
-    # signed spherical margins to every cap, from raw (un-normalized) dots
-    def signed_margins(self, x: np.ndarray) -> np.ndarray:
-        if self.axes.shape[0] == 0:
-            return np.array([np.inf])
-        gaps = np.arccos(np.clip(self.axes @ x, -1.0, 1.0)) - self.xi
-        return np.sign(gaps) * (1.0 - np.cos(gaps))
 
     def _band(self, x: np.ndarray):
         """(beta, beta_prime_scaled, active index) at x; far field gives (1, 0, None)."""
-        sm = self.signed_margins(x)
+        sm = self.arr.bound_margins(x)
         i = int(np.argmin(sm))
         if sm[i] < -DEEP_PENETRATION:
             raise InsideUnsafe(f"state penetrates constraint {i} by {-sm[i]:.3e}")
@@ -135,9 +127,9 @@ class ConicGradientController:
         i = int(active[0])
         d_i = max(float(sm[i]), 0.0)
         beta, dbeta = smoothstep(d_i, eps)
-        theta = float(np.arccos(np.clip(self.axes[i] @ x, -1.0, 1.0)))
+        theta = float(np.arccos(np.clip(self.arr.bound_centers[i] @ x, -1.0, 1.0)))
         # chain factor from grad_x [1 - cos(theta - xi)] along -g_i
-        chain = np.sin(theta - self.xi[i]) / max(np.sin(theta), 1e-300)
+        chain = np.sin(theta - self.arr.bound_reaches[i]) / max(np.sin(theta), 1e-300)
         return beta, dbeta * chain, i
 
     def navigation_value(self, x) -> float:
@@ -155,10 +147,10 @@ class ConicGradientController:
         if i is None:
             return (k1 / (1.0 + d_t) ** 2) * self.x_d, None
         scale = k1 / (beta + d_t) ** 2
-        return scale * (beta * self.x_d - d_t * beta_p * self.axes[i]), i
+        return scale * (beta * self.x_d - d_t * beta_p * self.arr.bound_centers[i]), i
 
     def signed_union_margin(self, x) -> float:
-        return float(self.signed_margins(coords_of(x)).min())
+        return float(self.arr.bound_margins(coords_of(x)).min())
 
     def far_field_clock(self, v: float) -> tuple[float, float]:
         """(tau(v), tau'(v)) with k1 tau(v) = 5v + 4 ln cosh v - tanh v.
@@ -173,9 +165,6 @@ class ConicGradientController:
         k1 = self.params.k1
         return (5.0 * v + 4.0 * ln_cosh - th) / k1, (2.0 + th) ** 2 / k1
 
-    def distance_profile(self, x) -> np.ndarray:
-        return np.maximum(self.signed_margins(coords_of(x)), 0.0)
-
 
 class StarPiecewiseController:
     """Piecewise attractive/repulsive law for star-shaped (or cap) regions."""
@@ -188,9 +177,8 @@ class StarPiecewiseController:
             if g.dot(params.x_d) <= -1.0 + 1e-12:
                 raise KernelAntipodalToTarget(
                     "kernel point antipodal to the target")
-        self.kernels = np.array([g.coords for g in arr.kernels]) \
-            if arr.kernels else np.zeros((0, self.x_d.size))
-        self._bounds = [s.bounding() for s in arr.sets]
+        self.kernels = np.array([g.coords for g in arr.kernels])
+        self._screen = arr.band_screen(params.epsilon)
         # warm ascent seeds per region; an accepted warm polish skips the
         # cold seeds, so integrate() clears them at the start of every run
         self._warm: dict[int, np.ndarray] = {}
@@ -199,14 +187,9 @@ class StarPiecewiseController:
         self._warm.clear()
 
     def _candidates(self, x: np.ndarray) -> list[int]:
-        out = []
-        for i, (center, radius) in enumerate(self._bounds):
-            gap = np.arccos(np.clip(center @ x / max(np.linalg.norm(x), 1e-300),
-                                    -1.0, 1.0)) - radius
-            lb = 1.0 - np.cos(max(gap, 0.0))
-            if lb <= self.params.epsilon + BAND_SLACK:
-                out.append(i)
-        return out
+        """Regions whose eps-band may hold x: the arrangement's band screen."""
+        centers, cos_reach = self._screen
+        return np.flatnonzero(centers @ x >= cos_reach * np.linalg.norm(x)).tolist()
 
     def _band(self, x: np.ndarray):
         """(d_i, i) for the active band, or (None, None) in the far field.
@@ -248,21 +231,14 @@ class StarPiecewiseController:
     def signed_union_margin(self, x) -> float:
         """Smallest signed margin; reads the warm seeds but never stores them."""
         xc = coords_of(x)
+        # regions by their lower bound; once it reaches the best margin, stop
+        lower = np.maximum(self.arr.bound_margins(xc), 0.0)
         best = np.inf
-        order = []
-        for i, (center, radius) in enumerate(self._bounds):
-            gap = np.arccos(np.clip(center @ xc, -1.0, 1.0)) - radius
-            order.append((1.0 - np.cos(max(gap, 0.0)), i))
-        order.sort()
-        for lb, i in order:
-            if lb >= best:
+        for i in np.argsort(lower, kind="stable").tolist():
+            if lower[i] >= best:
                 break
             best = min(best, self.arr.sets[i].distance_warm(xc, self._warm.get(i))[0])
         return float(best)
-
-    def distance_profile(self, x) -> np.ndarray:
-        xc = coords_of(x)
-        return self.arr.distances(xc)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,6 @@ from .simulate import (
 )
 
 SEED_ENV_VAR = "SPHERE_NAV_SEED"
-KERNEL_SAMPLES = 120   # boundary samples per kernel check in validate_scenario
 FD_STEP = 1e-5         # finite-difference step of diagnose_scenario's Jacobians
 
 
@@ -314,7 +313,8 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     delta = doc.get("delta")
     if delta is not None and _number_or_violation(delta, "delta", violations) is None:
         delta = None
-    arrangement = ConstraintArrangement(sets, kernels, delta_declared=delta)
+    # no valid region is a violation already; an arrangement needs one
+    arrangement = ConstraintArrangement(sets, kernels, delta_declared=delta) if sets else None
 
     if target is not None and sets:
         margins = arrangement.signed_margins(target)
@@ -456,7 +456,7 @@ def validate_scenario(sc: Scenario, samples: int = 20_000,
 
     kernel_ok, kernel_codes = [], []
     for i, s in enumerate(arr.sets):
-        rep = validate_kernel(s, arr.kernels[i], samples=KERNEL_SAMPLES, seed=seed)
+        rep = validate_kernel(s, arr.kernels[i], seed=seed)
         kernel_ok.append(rep.ok)
         kernel_codes.append([f.code for f in rep.failures])
         if not rep.ok:
@@ -675,7 +675,7 @@ def diagnose_scenario(sc: Scenario, points: list | None = None,
     if equilibria:
         queries.append(("target", controller.x_d.copy()))
         anti = -controller.x_d
-        if float(controller.distance_profile(anti).min()) >= eps:
+        if float(controller.arr.distances(anti).min()) >= eps:
             queries.append(("antipode", anti))
     queries += [(f"point{j}", x) for j, x in enumerate(user_points)]
 

@@ -11,9 +11,10 @@ state along the geodesic to x_d on a clock of theta = angle(x, x_d) alone
 instead, across the discontinuities of the right-hand side rather than
 through them: from a grid state where the law returns no band it jumps
 ahead to one step before the last grid time preceding the first point where
-the geodesic enters an eps-dilated bounding cap of some region or reaches
-the convergence angle (or to T, if that comes first), and RK4 takes over
-there, so no RK4 stage of a skipped step could have met a band.  Each
+the geodesic enters an eps-dilated bounding cap of some region (the
+arrangement's `band_screen`, which the star law's band search also runs) or
+reaches the convergence angle (or to T, if that comes first), and RK4 takes
+over there, so no RK4 stage of a skipped step could have met a band.  Each
 state on such a stretch is computed from the stretch's first state, so no
 state depends on which others are computed.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .controllers import BAND_SLACK, ConicGradientController, StarPiecewiseController
+from .controllers import ConicGradientController, StarPiecewiseController
 from .errors import (
     DegenerateProjection,
     DimensionMismatch,
@@ -162,19 +163,15 @@ class _FarField:
     takes tau(v0) - tau(v) to go from v0 to v, tau being the law's
     `far_field_clock`.  The flow leaves the far field no earlier than where
     the geodesic enters the eps-dilated bounding cap of a region: exactly the
-    band for a cap, a superset for a star region, with the slack the star
-    law's own candidate test uses.
+    band for a cap, a superset for a star region.  The caps are the
+    arrangement's `band_screen`, the test the star law's band search runs.
     """
 
     def __init__(self, controller: Controller):
         self.clock = controller.far_field_clock
         self.x_d = controller.x_d
-        eps = controller.params.epsilon
-        rho = math.acos(max(1.0 - eps - BAND_SLACK, -1.0))
-        bounds = [s.bounding() for s in controller.arr.sets]
-        self.centers = np.array([c for c, _ in bounds]) if bounds \
-            else np.zeros((0, self.x_d.size))
-        self.cos_reach = np.cos(np.minimum([r + rho for _, r in bounds], np.pi))
+        self.centers, self.cos_reach = \
+            controller.arr.band_screen(controller.params.epsilon)
 
     def plan(self, x: np.ndarray, dt: float, steps_left: int):
         """(m, flow): RK4 may resume m grid steps on, at flow(m * dt).
@@ -316,6 +313,7 @@ def integrate(x0, controller: Controller, cfg: SimConfig) -> Trajectory:
         log(t, x, np.zeros_like(x), None)
         return finish("aborted", f"entered the unsafe interior: {exc}")
     except MultipleActiveConstraints as exc:
+        log(t, x, np.zeros_like(x), None)
         return finish("aborted", f"band uniqueness violated: {exc}")
 
 
@@ -348,30 +346,20 @@ class VdotReport:
 def check_vdot_positive(traj: Trajectory, controller: Controller,
                         boundary_margin: float = 1e-2,
                         arc_margin: float = 1e-2,
-                        slope_floor: float = -1e-6,
-                        arc_grid: int = 2048) -> VdotReport:
+                        slope_floor: float = -1e-6) -> VdotReport:
     """Finite-difference slope of the band-angle cosine on in-scope segments.
 
     Scope: consecutive records sharing the same active constraint, both
     farther than `boundary_margin` from the region and farther than
     `arc_margin` from the four degenerate reference arcs (kernel and its
-    antipode joined to the target and its antipode).
+    antipode joined to the target and its antipode), measured in closed form.
     """
     x_d = UnitPoint(controller.x_d)
-    arc_pts: dict[int, np.ndarray] = {}
-
-    def arcs_for(i: int) -> np.ndarray:
-        if i not in arc_pts:
-            g = controller.arr.kernels[i]
-            lams = np.linspace(0.0, 1.0, arc_grid)
-            mats = []
-            for a, b in ((g, x_d.antipode()), (g.antipode(), x_d.antipode()),
-                         (g, x_d), (g.antipode(), x_d)):
-                if a.dot(b) <= -1.0 + 1e-12:
-                    continue
-                mats.append(geo.slerp_many(a, b, lams))
-            arc_pts[i] = np.vstack(mats)
-        return arc_pts[i]
+    z_d = x_d.antipode()
+    arcs = [[geo.arc(a, b) for a, b in ((g, z_d), (g.antipode(), z_d),
+                                        (g, x_d), (g.antipode(), x_d))
+             if a.dot(b) > -1.0 + geo.ANTIPODE_DOT_TOL]
+            for g in controller.arr.kernels]
 
     checked = 0
     violations: list[VdotViolation] = []
@@ -384,10 +372,8 @@ def check_vdot_positive(traj: Trajectory, controller: Controller,
             continue
         if traj.d_unsafe[k] <= boundary_margin or traj.d_unsafe[k + 1] <= boundary_margin:
             continue
-        pts = arcs_for(i)
-        d_arc0 = 1.0 - float((pts @ traj.x[k]).max())
-        d_arc1 = 1.0 - float((pts @ traj.x[k + 1]).max())
-        if d_arc0 <= arc_margin or d_arc1 <= arc_margin:
+        if min(geo.distance_to_arc(y, seg)
+               for y in traj.x[k:k + 2] for seg in arcs[i]) <= arc_margin:
             continue
         dt = float(traj.t[k + 1] - traj.t[k])
         if dt <= 0:
@@ -420,7 +406,7 @@ def jacobian_fd(x, controller: Controller, step: float = 1e-5) -> JacobianSpectr
     the tangent subspace at x.
     """
     xc = coords_of(x).astype(float)
-    d = controller.distance_profile(xc)
+    d = controller.arr.distances(xc)
     eps = controller.params.epsilon
     guard = 10.0 * step
     if np.any(np.abs(d - eps) < guard) or np.any(d < guard):

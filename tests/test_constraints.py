@@ -5,6 +5,7 @@ import pytest
 
 from sphere_nav import geometry as geo
 from sphere_nav.constraints import (
+    KERNEL_SAMPLES,
     ConicCap,
     ConstraintArrangement,
     EuclideanStarBody,
@@ -174,7 +175,7 @@ def test_powersum_body_builds_and_kernel_validates():
     tip = g1 + np.array([1.5 ** 2.5, 0, 0, 0])
     expected = 1.0 - float(tip @ xd) / np.linalg.norm(tip)
     assert abs(shape.distance(xd) - expected) <= 1e-9
-    rep = validate_kernel(shape, shape.kernel_on_sphere, samples=40, seed=1)
+    rep = validate_kernel(shape, shape.kernel_on_sphere, seed=1)
     assert rep.ok, rep.failures
     assert rep.interior_margin > 0.0
 
@@ -270,7 +271,7 @@ def _interior_exterior_points(region, seed: int = 11):
     return np.array(inner + outer), len(inner)
 
 
-def _kernel_walks(region, g, samples=120, seed=0, grid=64):
+def _kernel_walks(region, g, samples=KERNEL_SAMPLES, seed=0, grid=64):
     """(failure code, lams, points) of each geodesic validate_kernel walks from g."""
     lams = np.linspace(0.0, 1.0, grid + 1)
     for b in region.boundary_samples(samples, np.random.default_rng(seed)):
@@ -320,7 +321,7 @@ def test_region_interface(request, name):
                  else not region.contains(p, tol=1e-9) for p in walk]
         if any(fails):
             first.setdefault(code, float(lams[fails.index(True)]))
-    rep = validate_kernel(region, g_off, samples=120, seed=0)
+    rep = validate_kernel(region, g_off, seed=0)
     assert len(first) == (0 if name == "cap" else 2)
     assert {f.code: f.lam for f in rep.failures} == first
 
@@ -340,13 +341,13 @@ def test_nearest_boundary_lies_on_boundary(request, name):
 
 def test_validate_kernel_cap_center_ok():
     c = cap([0.0, 1.0, 0.0], 0.5)
-    rep = validate_kernel(c, c.axis, samples=60)
+    rep = validate_kernel(c, c.axis)
     assert rep.ok
 
 
 def test_validate_kernel_outside_point():
     c = cap([0.0, 1.0, 0.0], 0.5)
-    rep = validate_kernel(c, geo.normalize([1.0, 0.0, 0.0]), samples=20)
+    rep = validate_kernel(c, geo.normalize([1.0, 0.0, 0.0]))
     assert not rep.ok
     assert any(f.code == "NotInInterior" for f in rep.failures)
 
@@ -362,10 +363,10 @@ def test_validate_kernel_detects_non_star_proposal():
                              kernel_point=anchor,
                              profile=RadialTableProfile(vals))
     shape = build_projected_star(body, 1440)
-    good = validate_kernel(shape, shape.kernel_on_sphere, samples=60, seed=2)
+    good = validate_kernel(shape, shape.kernel_on_sphere, seed=2)
     assert good.ok, good.failures
     off_lobe = geo.normalize(body.lift(np.array([0.3, 0.0]))[0])
-    bad = validate_kernel(shape, off_lobe, samples=60, seed=2)
+    bad = validate_kernel(shape, off_lobe, seed=2)
     assert not bad.ok
     assert any(f.code == "GeodesicEscapes" for f in bad.failures)
 
@@ -380,7 +381,7 @@ def test_pairwise_separation_two_caps_closed_form():
         a2 = geo.rotate_toward(a1, [1.0, 0.0, 0.0], alpha)
         arr = ConstraintArrangement([cap(a1, xi1), cap(a2, xi2)])
         expected = 1.0 - np.cos(alpha - xi1 - xi2)
-        assert abs(pairwise_separation(arr, samples=200) - expected) <= 1e-4
+        assert abs(pairwise_separation(arr) - expected) <= 1e-4
 
 
 def test_pairwise_separation_degenerate_cases():

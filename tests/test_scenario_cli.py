@@ -356,6 +356,28 @@ def test_cli_run_and_outputs(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law", [
+    {"law": "star-piecewise", "k1": 1.0, "kappa": 1.0, "epsilon": 0.2},
+    {"law": "conic-gradient", "k1": 1.0, "epsilon": 0.2}])
+def test_cli_run_start_in_two_bands(tmp_path, capsys, law):
+    # the start lies within eps of both caps, so each law refuses it: the run
+    # aborts with the start logged (u = 0, no band) and the batch still reports
+    start = [0.24253562503633297, 0.9203579866168446, 0.3067859955389482]
+    doc = tiny_scenario_doc(
+        target=[1.0, 0.0, 0.0],
+        constraints=[{"type": "cap", "axis": [0.0, 1.0, 0.0], "xi": 0.3},
+                     {"type": "cap", "axis": [0.0, 0.8, 0.6], "xi": 0.3}],
+        controller=law, initial_conditions={"explicit": [start]})
+    out = tmp_path / "runout"
+    assert cli_main(["run", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["verdict"] == "aborted"
+    assert result["note"].startswith("band uniqueness violated")
+    assert np.allclose(result["x0"], start, atol=1e-15)
+    rows = (out / result["csv_file"]).read_text().splitlines()[1:]
+    assert len(rows) >= 1 and rows[0].startswith("0,")
+
+
 def test_cli_diagnose(tmp_path, capsys):
     doc = tiny_scenario_doc()
     doc["controller"] = {"law": "conic-gradient", "k1": 1.0, "epsilon": 0.05}

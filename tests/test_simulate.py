@@ -119,9 +119,6 @@ def test_safety_monitor_catches_disabled_repulsion():
         def signed_union_margin(self, x):
             return float(min(s.signed_margin(x) for s in arr.sets))
 
-        def distance_profile(self, x):
-            return np.array([s.distance(x) for s in arr.sets])
-
     g = arr.sets[0].axis.coords
     x0 = geo.normalize(-0.2 * XD + 1.1 * g).coords
     traj = integrate(x0, PureAttraction(), SimConfig(dt=1e-3, T=3.0))
@@ -205,7 +202,7 @@ def test_jacobian_star_far_field_structure():
     tested = 0
     while tested < 20:
         x = geo.sample_uniform_many(3, 1, rng)[0]
-        if float(ctrl.distance_profile(x).min()) < 0.1 or abs(x @ XD) > 0.9:
+        if float(ctrl.arr.distances(x).min()) < 0.1 or abs(x @ XD) > 0.9:
             continue
         spec = jacobian_fd(x, ctrl)
         u = 1.3 * XD
@@ -500,3 +497,46 @@ def test_far_field_jump_stops_at_grazed_band(monkeypatch):
     assert len(fast) == len(ref)
     assert np.array_equal(fast.active, ref.active)
     assert np.abs(fast.x - ref.x).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["cones7", "star4", "star1_feasible"])
+def test_band_screen_keeps_every_band_and_gates_the_far_field(request, name):
+    # states up to two band widths from each region: the screen keeps every
+    # region whose refined distance is within eps, and the far-field planner
+    # refuses to jump exactly where the screen keeps some region
+    sc = request.getfixturevalue(name)
+    arr, eps = sc.arrangement, sc.resolved_epsilon()
+    centers, cos_reach = arr.band_screen(eps)
+    far = simulate._FarField(sc.build_controller())
+    rng = np.random.default_rng(12)
+    width = geo.angle_from_distance(eps)
+    in_band = 0
+    for region in arr.sets:
+        for b in region.boundary_samples(40, rng):
+            v = geo.tangent_basis(b) @ rng.normal(size=b.size - 1)
+            x = geo.rotate_toward(b, v / np.linalg.norm(v),
+                                  rng.uniform(0.0, 2.0 * width))
+            kept = centers @ x >= cos_reach * np.linalg.norm(x)
+            near = arr.distances(x) <= eps
+            assert kept[near].all()
+            in_band += near.any()
+            # on a 1e-12 grid no sampled state is within two steps of an entry
+            assert (far.plan(x, 1e-12, 10**12)[0] == 0) == kept.any()
+    assert in_band > 0
+
+
+def test_band_screen_dilated_cap_covering_the_sphere():
+    # reach + arccos(1 - eps - slack) >= pi: every state is screened in, the
+    # antipode of the centre too (whose dot with the centre may round below
+    # -1), and the planner never jumps
+    rng = np.random.default_rng(3)
+    pts = geo.sample_uniform_many(3, 50, rng)
+    for axis in geo.sample_uniform_many(3, 10, rng):
+        arr = ConstraintArrangement([ConicCap(UnitPoint(axis), 2.9)])
+        ctrl = StarPiecewiseController(arr, StarControllerParams(
+            k1=1.0, kappa=1.0, epsilon=0.05, x_d=UnitPoint(XD)))
+        centers, cos_reach = arr.band_screen(0.05)
+        far = simulate._FarField(ctrl)
+        for x in np.vstack([-axis, pts]):
+            assert (centers @ x >= cos_reach * np.linalg.norm(x)).all()
+            assert far.plan(x, 1e-3, 1000)[0] == 0
