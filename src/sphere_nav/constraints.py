@@ -10,21 +10,25 @@ Two kinds of region are supported:
 Both answer the same queries, so no caller branches on the region type:
 ``contains``, ``contains_interior`` (rows: ``contains_many``,
 ``contains_interior_many``), ``signed_margin``, ``distance``,
-``distance_warm(x, warm) -> (signed margin, warm)``, ``distances_coarse``
-(rows; exact for caps), ``nearest_boundary``, ``boundary_samples``,
-``bounding`` and ``kernel_on_sphere``.
+``distance_warm(x, within) -> (signed margin, argmax or None)`` (outside,
+where the margin certainly exceeds ``within``, a value above it), ``distances_coarse`` (rows; exact for caps), ``nearest_boundary``,
+``boundary_samples``, ``bounding``, ``cell_caps`` and ``kernel_on_sphere``.
 
 Spherical distances to a region are ``d_s(x, U) = 1 - sup_{u in U} x.u``;
 for exterior points the supremum is attained on the boundary, so star
 regions answer distance queries by maximizing the dot product over the
-projected boundary: the best directions of a cached coarse scan seed a
-Newton polish (at most 10 rounds) and a shrinking-stencil ascent (at most 25
-rounds, until its step falls below 1e-8).  Profile extremal directions (the
-spike axes of power-sum bodies) are part of the cache, so narrow arms between
-grid directions are not missed.  All queries are read-only after construction.
-Star regions exist on S^2 and S^3; a build checks origin clearance and, where
-a radius is solved along rays, that each ray from the kernel crosses the body
-boundary once.  An arrangement reads each region's ``bounding`` cap once.
+projected boundary.  The boundary is charted into cells (`charts.py`), each
+with a sound bounding cap from the corners of a box that holds it: a
+power-sum body's 2^k simplex patches cut at edge midpoints, or a radial
+table's segments.  A query takes the best chart vertex as its incumbent,
+keeps the cells whose cap bound beats it, then those whose second-order
+facet bound still does, and solves locally only there; a caller that needs
+the margin only where it is within some width gets a bound, and no solve,
+where every bound is farther.  Every query is a pure function of x.  Star
+regions exist on S^2 and S^3; a build checks origin clearance and, where a
+radius is solved along rays, that each ray from the kernel crosses the body
+boundary once.  An arrangement reads each region's ``bounding`` cap and its
+cell caps once.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry as geo
+from .charts import PowerSumChart, RadialTableChart
 from .errors import (
     DomainError,
     NotStarShaped,
@@ -50,12 +55,7 @@ KERNEL_GRID = 64              # geodesic steps per kernel-check walk
 KERNEL_TOL = 1e-9             # membership closure along the kernel-check walks
 CROSSING_DIRS = 4096          # ray directions of the single-crossing check
 CROSSING_POINTS = 64          # points per ray segment in that check
-POLISH_ROUNDS = 10            # Newton rounds of a star distance polish
-ASCENT_STEP = 3e-4            # first stencil step of the fallback ascent
-ASCENT_MIN_STEP = 1e-8        # the ascent stops once its step falls below this
-ASCENT_ROUNDS = 25            # most rounds of the fallback ascent
-SEED_COUNT = 3                # cold seeds per star distance query
-SEED_SLACK = 0.05             # cold seeds lie within this of the coarse maximum
+CELL_PAD = 1e-12              # roundoff pad on every cell reach
 BAND_SLACK = 1e-9             # distance slack of the band screen
 KERNEL_SAMPLES = 120          # boundary samples per kernel check
 SEPARATION_SAMPLES = 400      # boundary samples per region in pairwise_separation
@@ -110,9 +110,9 @@ class ConicCap:
     def distance(self, x) -> float:
         return max(0.0, self.signed_margin(x))
 
-    def distance_warm(self, x, warm):
-        """(signed margin, warm); caps need no ascent state."""
-        return self.signed_margin(x), warm
+    def distance_warm(self, x, within=None):
+        """(signed margin, None); the margin is exact, whatever `within`."""
+        return self.signed_margin(x), None
 
     def distances_raw(self, dots: np.ndarray) -> np.ndarray:
         """Vectorized unsigned distance from axis-dot values."""
@@ -145,6 +145,10 @@ class ConicCap:
     def bounding(self) -> tuple[np.ndarray, float]:
         """(center, angular reach): every region point is within reach of center."""
         return self.axis.coords, self.xi
+
+    def cell_caps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, reaches) of caps covering the boundary: the cap itself."""
+        return self.axis.coords[None, :], np.array([self.xi])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,8 @@ class PowerSumProfile:
         """
         dirs = _direction_grid(kernel_s.size, CROSSING_DIRS)
         rho = radius(dirs)[:, None]
-        reach = self.max_radius(kernel_s)
+        # the cells' boxes hold the boundary, so their corners bound its radius
+        reach = float(np.linalg.norm(self.chart(kernel_s).corners() - kernel_s, axis=-1).max())
         lam = np.arange(CROSSING_POINTS) / CROSSING_POINTS   # [0, 1)
         past = rho + (1.0 - lam) * (reach - rho)
 
@@ -206,30 +211,9 @@ class PowerSumProfile:
             raise NotStarShaped("a ray from the kernel does not cross the body "
                                 "boundary exactly once")
 
-    def max_radius(self, kernel_s: np.ndarray) -> float:
-        """Bound on the boundary radius about kernel_s over all directions.
-
-        The sup about the anchor, plus the kernel's offset.  For equal exponents e
-        the sup is exact: the direction sum min(1, k^(1 - e/2)) is attained on an
-        axis (e < 2) or the diagonal (e > 2).
-        """
-        k = self.exponents.size
-        offset = float(np.linalg.norm(kernel_s))
-        if self._equal_e is not None:
-            e = self._equal_e
-            low = min(1.0, k ** (1.0 - e / 2.0))
-            return (self.level / low) ** (1.0 / e) + offset
-        # conservative scan for mixed exponents: sum_i r^e_i |d_i|^e_i = level
-        # bounds r >= 1 through the smallest exponent and r < 1 through the largest
-        dirs = _direction_grid(k, 8192)
-        q = self.level / float((np.abs(dirs) ** self.exponents).sum(axis=1).min())
-        return 1.25 * max(q ** (1.0 / self.exponents.min()),
-                          q ** (1.0 / self.exponents.max())) + offset
-
-    def extremal_dirs(self, k: int) -> np.ndarray:
-        """Kink directions of the boundary (the spike axes), used as ascent seeds."""
-        eye = np.eye(k)
-        return np.vstack([eye, -eye])
+    def chart(self, kernel_s: np.ndarray) -> PowerSumChart:
+        """The simplex chart of the boundary; it is taken about the anchor."""
+        return PowerSumChart(self.exponents, self.level)
 
 
 class RadialTableProfile:
@@ -260,15 +244,9 @@ class RadialTableProfile:
         frac = pos - np.floor(pos)
         return (1.0 - frac) * self.values[j] + frac * self.values[(j + 1) % m]
 
-    def max_radius(self, kernel_s: np.ndarray) -> float:
-        """Exact sup of the boundary radius; the table is about the kernel already."""
-        return float(self.values.max())
-
-    def extremal_dirs(self, k: int) -> np.ndarray:
-        # table knots are already covered by any cache at >= table resolution
-        j = np.argmax(self.values)
-        phi = 2.0 * np.pi * j / self.values.size
-        return np.array([[np.cos(phi), np.sin(phi)]])
+    def chart(self, kernel_s: np.ndarray) -> RadialTableChart:
+        """The segment chart of the boundary; the table is about the kernel."""
+        return RadialTableChart(self.values, kernel_s)
 
 
 def _power_sum_radius(e: float, inv_e: float, level: float,
@@ -378,9 +356,10 @@ def _direction_grid(k: int, count: int) -> np.ndarray:
 class ProjectedStarShape:
     """Radial projection of a Euclidean star body onto S^n.
 
-    Construction caches the projected boundary (a direction grid plus the
-    profile's extremal directions); use :func:`build_projected_star`, which
-    also runs the geometric sanity checks.
+    Construction charts the boundary into cells with sound bounding caps and
+    caches the projected boundary (a direction grid plus the chart's tips)
+    and the chart vertices; use :func:`build_projected_star`, which also runs
+    the geometric sanity checks.
     """
 
     def __init__(self, body: EuclideanStarBody, resolution: int):
@@ -393,63 +372,110 @@ class ProjectedStarShape:
         self._basisT = np.ascontiguousarray(body.basis.T)
         self._kernel_s = body.kernel_s
         self._rho = body.radius
-        self._seed_dirs = body.profile.extremal_dirs(body.k)
-        self._bound_center = self.kernel_on_sphere.coords
-        self._bound_angle = self._reach_angle()
+        self._axis0 = np.eye(body.k)[0]
+        self._a = self._basisT @ body.anchor
+        self._h2 = float(body.anchor @ body.anchor - self._a @ self._a)
+        self.chart = body.profile.chart(body.kernel_s)
 
-        dirs = np.vstack([_direction_grid(body.k, self.resolution), self._seed_dirs])
-        amb = body.lift(body.boundary_body(dirs))
+        grid = body.boundary_body(_direction_grid(body.k, self.resolution))
+        amb = body.lift(np.vstack([grid, self.chart.tips_s]))
         norms = np.linalg.norm(amb, axis=1)
         if norms.min() <= 1e-6:
             raise OriginInsideBody("projected boundary passes through the origin")
-        self.cache_dirs = dirs
         self.cache_ambient = amb
         self.cache_sphere = amb / norms[:, None]
+        # the chart lies in the body hyperplane with the cache, clear of the origin
+        vert = body.lift(self.chart.vertices())
+        self._vertices = vert / np.linalg.norm(vert, axis=1, keepdims=True)
 
-    def _reach_angle(self) -> float:
-        """Sound bound on the angle between any region point and the kernel image.
+        # a cell's box is convex and its hyperplane misses the origin, so while
+        # the reach stays below pi/2 the box's corners bound its angle to a centre
+        corners = self.chart.corners()
+        box = corners.min(axis=1), corners.max(axis=1)
+        corners = corners @ body.basis.T + body.anchor
+        corners /= np.sqrt(np.einsum("cij,cij->ci", corners, corners))[:, :, None]
+        centers = corners.sum(axis=1)
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        cos_far = np.einsum("cij,cj->ci", corners, centers).min(axis=1)
+        del corners     # the largest table of a build; the facets come next
+        self.cell_reaches = np.arccos(np.clip(cos_far, -1.0, 1.0)) + CELL_PAD
+        if self.cell_reaches.max() >= 0.5 * np.pi:
+            raise DomainError("a chart cell of the star body spans pi/2 or more")
+        self._cos_r, self._sin_r = np.cos(self.cell_reaches), np.sin(self.cell_reaches)
+        self._facet_bounds(*box)
+        # one product with x reads every table of a query: the chart vertices,
+        # the facet corners, the cell centres, x.anchor and basis^T x
+        tables = [self._vertices, self._facet_units, centers, self._anchor[None, :], self._basisT]
+        self._probe = np.vstack(tables)
+        self._rows = np.cumsum([len(t) for t in tables])
+        nv, nf, nc = self._rows[:3]
+        self._vertices, self._facet_units = self._probe[:nv], self._probe[nv:nf]
+        self.cell_centers = self._probe[nf:nc]
+        g = self.kernel_on_sphere.coords
+        self._bound_reach = min(np.pi, float(
+            (np.arccos(np.clip(centers @ g, -1.0, 1.0)) + self.cell_reaches).max()))
 
-        Every region point is kernel + r*w with r at most the profile's bound
-        on the radius about the kernel and w an in-plane unit direction; the
-        worst angle over a dense (r, kernel.w) grid bounds the true reach.
+    def _facet_bounds(self, lo: np.ndarray, hi: np.ndarray):
+        """The second bound of a query: a cell's boundary dot is at most the
+        largest cos(max(0, arccos(top + slack) - eta)) over its facet pieces,
+        top being the best dot at a piece's corners.
+
+        On a geodesic arc of length L the dot x.y = R cos(theta - phi), R <= 1,
+        rises at most 1 - cos(L/2) above its larger end, so over a piece's arc
+        (k = 2) or triangle (k = 3: an arc from a corner to a point of the
+        shortest side, at most the half perimeter long) it rises at most
+        `slack` above the best corner.  A point of the piece's part of the
+        boundary lies within the chart's deviation of a point of the piece,
+        both in the cell's box, where |P| is at least the box's distance from
+        the origin: at most `eta` away in angle.  `lo` and `hi` are the
+        corners of the cells' boxes.
         """
-        rho_max = self.body.profile.max_radius(self._kernel_s)
-        kp = self.body.kernel_point
-        knorm = float(np.linalg.norm(kp))
-        c2 = float(np.linalg.norm(self._basisT @ kp))
-        rs = np.linspace(0.0, rho_max, 257)
-        ss = np.linspace(-c2, c2, 257)
-        R, S = np.meshgrid(rs, ss)
-        num = knorm ** 2 + R * S
-        den = knorm * np.sqrt(np.maximum(knorm ** 2 + 2 * R * S + R ** 2, 1e-300))
-        cosang = num / den
-        worst = float(np.arccos(np.clip(cosang.min(), -1.0, 1.0)))
-        return min(np.pi, worst + 1e-3)
+        points, facets, deviation = self.chart.facets()
+        self._facets = facets.astype(np.int16 if len(points) < 2 ** 15 else np.intp)
+        lifted = self.body.lift(points)
+        units = self._facet_units = lifted / np.linalg.norm(lifted, axis=1, keepdims=True)
+        k = facets.shape[2]
+        sides = np.stack([np.arccos(np.clip(np.einsum("cpi,cpi->cp", units[facets[:, :, i]],
+                                                      units[facets[:, :, j]]), -1.0, 1.0))
+                          for i in range(k) for j in range(i + 1, k)], axis=2)
+
+        def rise(length):
+            return 1.0 - np.cos(0.5 * np.minimum(length, np.pi))
+
+        self._facet_slack = rise(sides.min(axis=2)) + CELL_PAD
+        if k == 3:
+            self._facet_slack += rise(0.5 * sides.sum(axis=2))
+        # |P(s)|^2 = h2 + |a + s|^2, least over the box where -a is nearest
+        near = np.clip(-self._a, lo, hi)
+        clear = np.sqrt(self._h2 + ((near + self._a) ** 2).sum(axis=1))
+        self._facet_eta = deviation / clear[:, None] + CELL_PAD
+
+    def _facet_bound(self, facet_dots: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The facet bound of each of `cells`, from the dots of x with the facet
+        corners (`_facet_bounds`)."""
+        top = facet_dots[self._facets[cells]].max(axis=2)
+        return np.cos(np.maximum(np.arccos(np.minimum(top + self._facet_slack[cells], 1.0))
+                                 - self._facet_eta[cells], 0.0)).max(axis=1)
 
     # -- membership ---------------------------------------------------------
 
-    def _ray_body_coords(self, x: np.ndarray):
-        """Body coordinates of the ray {t x, t > 0} hit on the body hyperplane."""
+    def _radial_excess(self, x: np.ndarray):
+        """(r - rho, hit norm) for the ray {t x, t > 0} through x, or None when
+        it misses the body hyperplane; it hits at s = t basis^T x - a, with
+        |P(s)|^2 = h2 + |a + s|^2."""
         denom = float(x @ self._normal)
         if abs(denom) < 1e-15:
             return None
         t = self._offset / denom
         if t <= 0.0:
             return None
-        return self._basisT @ (t * x - self._anchor)
-
-    def _radial_excess(self, x: np.ndarray):
-        """(r - rho, hit norm) for the ray through x, or None when it misses."""
-        s = self._ray_body_coords(x)
-        if s is None:
-            return None
-        rel = s - self._kernel_s
-        r = float(np.linalg.norm(rel))
+        bx = self._basisT @ x
+        rel = t * bx - self._a - self._kernel_s
+        r = math.sqrt(rel @ rel)
         if r < 1e-15:
-            return -float(self._rho(self._seed_dirs[:1])[0]), 1.0
+            return -float(self._rho(self._axis0[None, :])[0]), 1.0
         rho = float(self._rho(rel[None, :] / r)[0])
-        hit = self._anchor + self._basisT.T @ s
-        return r - rho, float(np.linalg.norm(hit))
+        return r - rho, math.sqrt(self._h2 + t * t * (bx @ bx))
 
     def contains(self, x, tol: float = BOUNDARY_CLOSURE_TOL) -> bool:
         out = self._radial_excess(coords_of(x))
@@ -470,10 +496,10 @@ class ProjectedStarShape:
         s = (hits - self._anchor) @ self._basisT.T
         rel = s - self._kernel_s
         r = np.sqrt((rel * rel).sum(axis=1))
-        # a ray through the kernel itself takes the first seed direction
+        # a ray through the kernel itself takes the first axis direction
         away = r > 1e-15
         dirs = np.where(away[:, None], rel / np.where(away, r, 1.0)[:, None],
-                        self._seed_dirs[0])
+                        self._axis0)
         return ok, r, self._rho(dirs), np.sqrt((hits * hits).sum(axis=1))
 
     def contains_many(self, pts: np.ndarray,
@@ -508,190 +534,61 @@ class ProjectedStarShape:
 
     # -- boundary-dot maximization (distance queries) ------------------------
 
-    def _objective(self, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        rho = self._rho(dirs)
-        pts = self._anchor + (self._kernel_s + rho[:, None] * dirs) @ self._basisT
-        return (pts @ x) / np.sqrt((pts * pts).sum(axis=1))
+    def max_boundary_dot(self, x, floor: float = -np.inf):
+        """(best dot, its boundary point on the sphere); the distance is 1 - best dot.
 
-    def _chart(self, d: np.ndarray) -> np.ndarray:
-        """Tangent chart directions of the direction circle or sphere at d, (k-1, k)."""
-        if d.size == 2:
-            return np.array([[-d[1], d[0]]])
-        ref = np.zeros(3)
-        ref[int(np.argmin(np.abs(d)))] = 1.0
-        t1 = ref - (ref @ d) * d
-        t1 /= np.sqrt(t1 @ t1)
-        t2 = np.array([d[1] * t1[2] - d[2] * t1[1],
-                       d[2] * t1[0] - d[0] * t1[2],
-                       d[0] * t1[1] - d[1] * t1[0]])
-        return np.vstack([t1, t2])
-
-    def _lift_chart(self, d: np.ndarray, T: np.ndarray, pts2: np.ndarray) -> np.ndarray:
-        cand = d[None, :] + pts2 @ T
-        return cand / np.sqrt((cand * cand).sum(axis=1))[:, None]
-
-    def _polish(self, x: np.ndarray, d0: np.ndarray, warm: bool):
-        """Newton polish of the boundary-dot objective on the direction chart.
-
-        Quadratic fits on a small stencil give superlinear convergence on the
-        smooth parts of the boundary; a cold stencil (1e-3) shrinks on a
-        non-improving round, a warm one (1e-4) returns there instead (warm
-        starts at a kink maximum resolve in one).
-        """
-        h = 1e-4 if warm else 1e-3
-        d = d0 / np.linalg.norm(d0)
-        m = d.size - 1
-        if m == 1:
-            stencil = np.array([[0.0], [1.0], [-1.0], [0.5], [-0.5]])
-        else:
-            stencil = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
-                                [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
-        best = float(self._objective(x, d[None, :])[0])
-        for _ in range(POLISH_ROUNDS):
-            T = self._chart(d)
-            cand = self._lift_chart(d, T, h * stencil)
-            vals = self._objective(x, cand)
-            j = int(np.argmax(vals))
-            f0 = float(vals[0])
-            if m == 1:
-                g = (vals[1] - vals[2]) / (2 * h)
-                H = (vals[1] - 2 * f0 + vals[2]) / h ** 2
-                step = np.array([-g / H]) if H < -1e-18 else None
-            else:
-                gx = (vals[1] - vals[2]) / (2 * h)
-                gy = (vals[3] - vals[4]) / (2 * h)
-                hxx = (vals[1] - 2 * f0 + vals[2]) / h ** 2
-                hyy = (vals[3] - 2 * f0 + vals[4]) / h ** 2
-                hxy = (vals[5] - vals[1] - vals[3] + f0) / h ** 2
-                det = hxx * hyy - hxy * hxy
-                if det > 1e-18 and hxx < 0:
-                    step = np.array([-(hyy * gx - hxy * gy) / det,
-                                     -(hxx * gy - hxy * gx) / det])
-                else:
-                    step = None
-            if step is None or not np.all(np.isfinite(step)):
-                if warm:
-                    break
-                h *= 0.1
-                if h < 1e-8:
-                    break
-                continue
-            nrm = float(np.sqrt(step @ step))
-            if nrm > 0.1:
-                step *= 0.1 / nrm
-            d_new = d + step @ T
-            d_new /= np.sqrt(d_new @ d_new)
-            val_new = float(self._objective(x, d_new[None, :])[0])
-            moved = max(val_new, float(vals[j]))
-            if moved <= best + 1e-15:
-                if warm:
-                    break
-                h *= 0.1
-                if h < 1e-8:
-                    break
-                continue
-            d = d_new if val_new >= float(vals[j]) else cand[j]
-            best = moved
-            if nrm < 1e-9:
-                break
-        return best, d
-
-    def _ascend(self, x: np.ndarray, d0: np.ndarray):
-        """Shrinking-stencil ascent; robust at profile kinks, used as fallback."""
-        step = ASCENT_STEP
-        d = d0 / np.linalg.norm(d0)
-        best = float(self._objective(x, d[None, :])[0])
-        m = d.size - 1
-        if m == 1:
-            offsets = np.array([[-1.0], [-0.35], [0.35], [1.0]])
-        else:
-            g = np.array([-1.0, 0.0, 1.0])
-            offsets = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-            offsets = offsets[np.any(offsets != 0.0, axis=1)]
-        for _ in range(ASCENT_ROUNDS):
-            T = self._chart(d)
-            cand = self._lift_chart(d, T, step * offsets)
-            vals = self._objective(x, cand)
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                d = cand[j]
-                best = float(vals[j])
-            else:
-                step *= 0.35
-                if step < ASCENT_MIN_STEP:
-                    break
-        return best, d
-
-    def _cold_search(self, x: np.ndarray, dots: np.ndarray, best: float, bdir):
-        """(best, bdir) improved by the cold seeds; the first of equal maxima wins.
-
-        Seeds are cache directions near the coarse maximum, one per basin; each is
-        polished, then ascended.
-        """
-        order = np.argsort(dots)[::-1]
-        top = float(dots[order[0]])
-        picked: list[np.ndarray] = []
-        for idx in order[:64]:
-            if dots[idx] < top - SEED_SLACK and picked:
-                break
-            d = self.cache_dirs[idx]
-            if not picked or all(float(d @ p) < 0.95 for p in picked):
-                picked.append(d)
-            if len(picked) >= SEED_COUNT:
-                break
-        for d0 in picked:
-            val, d = self._polish(x, d0, warm=False)
-            val2, d2 = self._ascend(x, d)
-            if val2 > val:
-                val, d = val2, d2
-            if val > best:
-                best, bdir = val, d
-        return best, bdir
-
-    def max_boundary_dot(self, x, warm: np.ndarray | None = None):
-        """(best dot, best direction); the distance is 1 - best dot.
-
-        The coarse cache (which includes the profile's spike directions)
-        certifies the warm fast path: a warm-started polish is accepted only
-        when it reaches the coarse maximum, otherwise the cold seeds run.
+        The best chart vertex is the incumbent.  A bound pass keeps the cells
+        whose cap bound cos(max(0, angle(x, centre) - reach)) beats it, a
+        second keeps those of them whose facet bound (`_facet_bound`) still
+        does, and the chart's local solves run only there.  Where the
+        incumbent and every bound lie below `floor`, it returns the largest
+        of them, which the maximum does not exceed, and no point.  A pure
+        function of x.
         """
         xc = coords_of(x)
-        dots = self.cache_sphere @ xc
-        i0 = int(np.argmax(dots))
-        coarse_best, coarse_dir = float(dots[i0]), self.cache_dirs[i0]
-        if warm is not None:
-            val, d = self._polish(xc, warm, warm=True)
-            if val >= coarse_best - 1e-12:
-                return val, d
-        return self._cold_search(xc, dots, coarse_best, coarse_dir)
+        scale = math.sqrt(xc @ xc)
+        xn = xc / scale
+        nv, nf, nc, na = self._rows[:4]
+        probe = self._probe @ xn
+        dots, cc = probe[:nv], probe[nf:nc]
+        best = min(1.0, float(dots.max()))
+        # angle - reach < arccos(best), compared as cosines
+        kept = cc > self._cos_r * best - self._sin_r * math.sqrt(1.0 - best * best) - 1e-12
+        if best < 0.0:      # reaches are below pi/2: a cap can reach the antipode
+            kept |= self.cell_reaches >= np.pi - math.acos(best)
+        cells = np.flatnonzero(kept)
+        bounds = self._facet_bound(probe[nv:nf], cells)
+        if max(best, bounds.max(initial=-1.0)) * scale < floor:
+            return max(best, bounds.max(initial=-1.0)) * scale, None
+        keep = bounds > best
+        q = (float(probe[nc]), probe[na:], self._h2, self._a)
+        best, s = self.chart.refine(q, dots, cells[keep], bounds[keep])
+        p = self._anchor + self._basisT.T @ s
+        return best * scale, p / math.sqrt(p @ p)
 
     def distance(self, x) -> float:
-        """d_s(x, U); zero inside, refined boundary maximum outside."""
+        """d_s(x, U); zero inside, the boundary maximum outside."""
         if self.contains(x):
             return 0.0
-        best, _ = self.max_boundary_dot(x)
-        return 1.0 - best
+        return 1.0 - self.max_boundary_dot(x)[0]
 
-    def distance_warm(self, x: np.ndarray, warm: np.ndarray | None):
-        """(signed margin, argmax direction) with a warm-started ascent.
-
-        An accepted warm polish skips the cold seeds, so the value can differ
-        from the cold query's; it never falls below the coarse cache maximum.
-        """
-        best, bdir = self.max_boundary_dot(x, warm=warm)
-        m = 1.0 - best
-        return (-m if self.contains(x) else m), bdir
+    def distance_warm(self, x: np.ndarray, within=None):
+        """(signed margin, nearest boundary point).  Outside the region, where
+        the margin certainly exceeds `within`, it is a lower bound above
+        `within` and the point is None (`max_boundary_dot`'s floor)."""
+        if self.contains(x):
+            best, point = self.max_boundary_dot(x)
+            return best - 1.0, point
+        best, point = self.max_boundary_dot(x, -np.inf if within is None else 1.0 - within)
+        return 1.0 - best, point
 
     def signed_margin(self, x) -> float:
         """Distance to the boundary, negative when inside the region."""
         return self.distance_warm(x, None)[0]
 
     def nearest_boundary(self, x) -> np.ndarray:
-        """Refined nearest boundary point (the first of equal maxima)."""
-        xc = coords_of(x)
-        _, bdir = self._cold_search(xc, self.cache_sphere @ xc, -np.inf, None)
-        amb = self.body.lift(self.body.boundary_body(bdir[None, :]))[0]
-        return amb / np.linalg.norm(amb)
+        """Nearest boundary point (the first of equal maxima)."""
+        return self.max_boundary_dot(x)[1]
 
     def boundary_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
         sphere = self.cache_sphere
@@ -700,8 +597,13 @@ class ProjectedStarShape:
         return sphere[idx]
 
     def bounding(self) -> tuple[np.ndarray, float]:
-        """(center, angular reach): every region point is within reach of center."""
-        return self._bound_center, self._bound_angle
+        """(center, angular reach): the kernel image, and the largest reach of a
+        cell measured from it."""
+        return self.kernel_on_sphere.coords, self._bound_reach
+
+    def cell_caps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, reaches) of the chart cells' caps, which cover the boundary."""
+        return self.cell_centers, self.cell_reaches
 
 
 def build_projected_star(body: EuclideanStarBody, resolution: int) -> ProjectedStarShape:
@@ -737,9 +639,12 @@ class ConstraintArrangement:
     """Immutable collection of unsafe regions with one kernel point per set.
 
     Region i lies within angle ``bound_reaches[i]`` of ``bound_centers[i]``
-    (its bounding cap; a cap is its own).  Both laws, the far-field planner
-    and the shadow check read these arrays, directly or through
-    `bound_margins` and `band_screen`.
+    (its bounding cap; a cap is its own).  Its boundary lies in the caps of
+    its cells, the rows of ``cell_centers`` and ``cell_reaches`` whose
+    ``cell_owner`` is i (a cap is one cell).  The conic law and the shadow
+    check read the bounding caps; the star law, `suggest_kappa` and the
+    far-field planner read the cells through `kept_regions` and
+    `screen_entry`.
     """
 
     def __init__(self, sets, kernels=None, delta_declared: float | None = None):
@@ -752,6 +657,12 @@ class ConstraintArrangement:
         bounds = [s.bounding() for s in self.sets]
         self.bound_centers = np.array([c for c, _ in bounds])
         self.bound_reaches = np.array([r for _, r in bounds])
+        cells = [s.cell_caps() for s in self.sets]
+        # one region's rows are its own arrays, not a copy
+        self.cell_centers, self.cell_reaches = cells[0] if len(cells) == 1 else \
+            (np.vstack([c for c, _ in cells]), np.concatenate([r for _, r in cells]))
+        self.cell_owner = np.repeat(np.arange(len(cells)), [len(r) for _, r in cells])
+        self._first_cell = np.searchsorted(self.cell_owner, np.arange(len(cells)))
         # a None kernel is the region's own kernel point
         self.kernels: list[UnitPoint] = [
             s.kernel_on_sphere if k is None
@@ -760,6 +671,7 @@ class ConstraintArrangement:
         ]
         self.delta_declared = delta_declared
         self._delta_measured: dict[int, float] = {}
+        self._screens: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -786,13 +698,49 @@ class ConstraintArrangement:
                 - self.bound_reaches)
         return np.sign(gaps) * (1.0 - np.cos(gaps))
 
-    def band_screen(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """(centers, cos_reach): x lies within eps of region i only if
-        centers[i] @ x >= cos_reach[i] ||x||.  cos_reach is cos(bound_reaches +
-        arccos(1 - eps - BAND_SLACK)), or -inf where that angle reaches pi.
+    def band_screen(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centers, cos_reach, owner), one row per cell: x lies within eps of
+        region i's boundary only if centers[j] @ x >= cos_reach[j] ||x|| for a
+        row j with owner[j] == i.  cos_reach is cos(cell_reaches + arccos(1 -
+        eps - BAND_SLACK)), or -inf where that angle reaches pi.
         """
-        reach = self.bound_reaches + math.acos(max(1.0 - eps - BAND_SLACK, -1.0))
-        return self.bound_centers, np.where(reach < np.pi, np.cos(reach), -np.inf)
+        if eps not in self._screens:
+            reach = self.cell_reaches + math.acos(max(1.0 - eps - BAND_SLACK, -1.0))
+            self._screens[eps] = (self.cell_centers,
+                                  np.where(reach < np.pi, np.cos(reach), -np.inf),
+                                  self.cell_owner)
+        return self._screens[eps]
+
+    def kept_regions(self, pts: np.ndarray, eps: float) -> np.ndarray:
+        """(points, regions) booleans: row x lies within eps of region i's
+        boundary only where a row of `band_screen` that i owns keeps x."""
+        centers, cos_reach, _ = self.band_screen(eps)
+        kept = np.empty((len(pts), len(self)), dtype=bool)
+        # row blocks keep the (points x cells) table near 1 MB
+        table = np.empty((min(len(pts), 64), len(centers)))
+        for a in range(0, len(pts), 64):
+            block = pts[a:a + 64]
+            dots = np.matmul(block, centers.T, out=table[:len(block)])
+            dots /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+            kept[a:a + 64] = np.logical_or.reduceat(dots >= cos_reach, self._first_cell, axis=1)
+        return kept
+
+    def screen_entry(self, x_d: np.ndarray, w: np.ndarray, theta0: float,
+                     eps: float) -> float:
+        """The largest theta <= theta0 at which cos(theta) x_d + sin(theta) w
+        lies in a row of `band_screen(eps)`, or -inf where none is met."""
+        centers, cos_reach, _ = self.band_screen(eps)
+        # x(theta).c = R cos(theta - phi) reaches cos_reach, with theta falling
+        # from theta0; the row holds [lo, lo + 2 alpha] mod 2 pi
+        a, b = centers @ x_d, centers @ w
+        R = np.hypot(a, b)
+        meets = R > cos_reach
+        if not meets.any():
+            return -np.inf
+        alpha = np.arccos(np.clip(cos_reach[meets] / R[meets], -1.0, 1.0))
+        lo = np.arctan2(b[meets], a[meets]) - alpha
+        lo += 2.0 * np.pi * np.floor((theta0 - lo) / (2.0 * np.pi))
+        return float(np.minimum(lo + 2.0 * alpha, theta0).max())
 
     def delta_measured(self, seed: int = 0) -> float:
         """pairwise_separation, cached per seed."""

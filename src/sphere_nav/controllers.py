@@ -14,17 +14,14 @@ inside the band of width eps around constraint i, and k1 * x_d elsewhere;
 g_i is the validated kernel point of constraint i.
 
 Each law's `control(x)` returns the input u and the active band index (None
-in the far field) from one band search.  The conic law reads its margins from
-the arrangement's bounding caps (`bound_margins`, exact for caps) and is a
-pure function of (state, arrangement, parameters).  The star law queries a
-region's refined distance only where the arrangement's `band_screen` keeps
-it; those queries warm-start from the argmax directions of its own previous
-band search:
-`integrate` clears those seeds at the start of every run, and the monitors
-(`signed_union_margin`) only read them.  Both laws evaluate on ambient points
-near (not exactly on) the sphere so that central finite differences of W are
-well defined; the analytic conic law is the exact gradient of that ambient
-extension, which the FD oracle checks.
+in the far field) from one band search, and is a pure function of (state,
+arrangement, parameters).  The conic law reads its margins from the
+arrangement's bounding caps (`bound_margins`, exact for caps).  The star law
+queries a region's refined distance only where the arrangement's
+`kept_regions` keeps the state for it or the region contains it.  Both
+laws evaluate on ambient points near (not exactly on) the sphere so that
+central finite differences of W are well defined; the analytic conic law is
+the exact gradient of that ambient extension, which the FD oracle checks.
 
 Away from every band both laws steer the state along the geodesic to x_d at
 a speed that depends only on theta = angle(x, x_d): the conic law gives
@@ -178,28 +175,25 @@ class StarPiecewiseController:
                 raise KernelAntipodalToTarget(
                     "kernel point antipodal to the target")
         self.kernels = np.array([g.coords for g in arr.kernels])
-        self._screen = arr.band_screen(params.epsilon)
-        # warm ascent seeds per region; an accepted warm polish skips the
-        # cold seeds, so integrate() clears them at the start of every run
-        self._warm: dict[int, np.ndarray] = {}
-
-    def reset_eval_cache(self):
-        self._warm.clear()
+        self._cos_bound = np.cos(arr.bound_reaches)
 
     def _candidates(self, x: np.ndarray) -> list[int]:
-        """Regions whose eps-band may hold x: the arrangement's band screen."""
-        centers, cos_reach = self._screen
-        return np.flatnonzero(centers @ x >= cos_reach * np.linalg.norm(x)).tolist()
+        """Regions whose eps-band may hold x: those with a cell of the
+        arrangement's band screen holding x, and those that contain x."""
+        kept = self.arr.kept_regions(x[None, :], self.params.epsilon)[0]
+        # a state deep inside a star region is farther than eps from its cells
+        inside = ~kept & (self.arr.bound_centers @ x >= self._cos_bound * np.linalg.norm(x))
+        for i in np.flatnonzero(inside):
+            kept[i] = self.arr.sets[i].contains(x)
+        return np.flatnonzero(kept).tolist()
 
     def _band(self, x: np.ndarray):
-        """(d_i, i) for the active band, or (None, None) in the far field.
-
-        The only writer of the warm seeds: each query seeds the next one.
-        """
+        """(d_i, i) for the active band, or (None, None) in the far field."""
         eps = self.params.epsilon
         hits = []
         for i in self._candidates(x):
-            sm, self._warm[i] = self.arr.sets[i].distance_warm(x, self._warm.get(i))
+            # exact wherever it is within eps, which is all the band needs
+            sm = self.arr.sets[i].distance_warm(x, eps)[0]
             if sm < -DEEP_PENETRATION:
                 raise InsideUnsafe(f"state penetrates constraint {i} by {-sm:.3e}")
             if sm <= eps:
@@ -229,7 +223,7 @@ class StarPiecewiseController:
         return v / k1, 1.0 / k1
 
     def signed_union_margin(self, x) -> float:
-        """Smallest signed margin; reads the warm seeds but never stores them."""
+        """Smallest signed margin over the regions."""
         xc = coords_of(x)
         # regions by their lower bound; once it reaches the best margin, stop
         lower = np.maximum(self.arr.bound_margins(xc), 0.0)
@@ -237,7 +231,7 @@ class StarPiecewiseController:
         for i in np.argsort(lower, kind="stable").tolist():
             if lower[i] >= best:
                 break
-            best = min(best, self.arr.sets[i].distance_warm(xc, self._warm.get(i))[0])
+            best = min(best, self.arr.sets[i].distance_warm(xc, None)[0])
         return float(best)
 
 
@@ -307,7 +301,8 @@ class KappaSuggestion:
 def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSuggestion:
     """Repulsion-gain bound from the reference arcs target -> kernel antipode.
 
-    For each constraint, samples the arc from x_d to -g_i.  Over the portion
+    For each constraint, samples the arc from x_d to -g_i and refines the
+    distance at the samples the band screen keeps.  Over the portion
     of the arc inside the band (if any): mu1 is the smallest distance to the
     region, mu2 the smallest tangential speed toward the target; the per-set
     bound is max(0, eps - mu1)/(mu1 * mu2).  Arcs that miss the band
@@ -321,10 +316,10 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSugge
         if g.dot(xd) <= -1.0 + 1e-12:
             raise KernelAntipodalToTarget(f"kernel {i} is antipodal to the target")
         pts = geo.slerp_many(xd, g.antipode(), lams)
-        # coarse pass over the whole arc, refine only near-band points;
-        # the slack covers the coarse cache gap away from the seeded spikes
-        d = s.distances_coarse(pts)
-        for j in np.nonzero(d <= epsilon + 2e-2)[0]:
+        # refine exactly the arc points the band screen keeps for region i;
+        # it drops only points farther than eps from the boundary
+        d = np.full(len(pts), np.inf)
+        for j in np.flatnonzero(arr.kept_regions(pts, epsilon)[:, i]):
             d[j] = s.distance(pts[j])
         mask = d <= epsilon
         if not mask.any():

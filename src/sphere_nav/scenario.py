@@ -592,7 +592,7 @@ def run_scenario(sc: Scenario, parallel: int = 1, out_dir: str | None = None,
     """
     run_seed = effective_seed(sc, seed)
     ics = draw_initial_conditions(sc, run_seed)
-    # one controller serves every start: integrate clears its warm cache per run
+    # one controller serves every start: the laws keep no per-run state
     controller = sc.build_controller()
     jobs = [(controller, sc.sim, i, x0) for i, x0 in enumerate(ics)]
     trajs: dict[int, Trajectory] = {}

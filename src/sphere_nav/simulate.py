@@ -11,7 +11,7 @@ state along the geodesic to x_d on a clock of theta = angle(x, x_d) alone
 instead, across the discontinuities of the right-hand side rather than
 through them: from a grid state where the law returns no band it jumps
 ahead to one step before the last grid time preceding the first point where
-the geodesic enters an eps-dilated bounding cap of some region (the
+the geodesic enters an eps-dilated cell cap of some region (the rows of the
 arrangement's `band_screen`, which the star law's band search also runs) or
 reaches the convergence angle (or to T, if that comes first), and RK4 takes
 over there, so no RK4 stage of a skipped step could have met a band.  Each
@@ -162,26 +162,29 @@ class _FarField:
     unit direction of x - (x.x_d) x_d and v = ln tan(theta/2), and the run
     takes tau(v0) - tau(v) to go from v0 to v, tau being the law's
     `far_field_clock`.  The flow leaves the far field no earlier than where
-    the geodesic enters the eps-dilated bounding cap of a region: exactly the
-    band for a cap, a superset for a star region.  The caps are the
-    arrangement's `band_screen`, the test the star law's band search runs.
+    the geodesic enters the eps-dilated cap of a cell: exactly the band for a
+    cap region, and a cover of the band near the cell's piece of boundary
+    for a star region (the geodesic meets the boundary before the interior).
+    The caps are the rows of the arrangement's `band_screen`: `kept_regions`
+    tests them, as the star law's band search does, and `screen_entry`
+    solves for the entry.
     """
 
     def __init__(self, controller: Controller):
         self.clock = controller.far_field_clock
         self.x_d = controller.x_d
-        self.centers, self.cos_reach = \
-            controller.arr.band_screen(controller.params.epsilon)
+        self.arr, self.eps = controller.arr, controller.params.epsilon
 
     def plan(self, x: np.ndarray, dt: float, steps_left: int):
         """(m, flow): RK4 may resume m grid steps on, at flow(m * dt).
 
         m is one step short of the last grid time before the geodesic enters
-        a dilated bounding cap or the convergence angle, and at most
-        steps_left; it is 0 when x lies in a dilated bounding cap.  flow(tau)
-        is the state tau after x, computed from x alone.
+        a dilated cell cap or the convergence angle, and at most steps_left;
+        it is 0 when x lies in a dilated cell cap.  One closed-form entry
+        solve covers all caps.  flow(tau) is the state tau after x, computed
+        from x alone.
         """
-        if np.any(self.centers @ x >= self.cos_reach):
+        if self.arr.kept_regions(x[None, :], self.eps).any():
             return 0, None
         c = float(x @ self.x_d)
         r = x - c * self.x_d
@@ -192,17 +195,7 @@ class _FarField:
         w = r / s
         theta0 = math.atan2(s, c)
         v0 = math.log(s / (1.0 + c)) if c >= 0.0 else math.log((1.0 - c) / s)
-        # entry: x(theta).g = R cos(theta - phi) reaches cos(reach + rho), with
-        # theta falling from theta0; the cap holds [lo, lo + 2 alpha] mod 2 pi
-        a, b = self.centers @ self.x_d, self.centers @ w
-        R = np.hypot(a, b)
-        meets = R > self.cos_reach
-        theta = THETA_CONVERGED
-        if meets.any():
-            alpha = np.arccos(np.clip(self.cos_reach[meets] / R[meets], -1.0, 1.0))
-            lo = np.arctan2(b[meets], a[meets]) - alpha
-            lo += 2.0 * np.pi * np.floor((theta0 - lo) / (2.0 * np.pi))
-            theta = max(theta, float(np.minimum(lo + 2.0 * alpha, theta0).max()))
+        theta = max(THETA_CONVERGED, self.arr.screen_entry(self.x_d, w, theta0, self.eps))
         x_d, clock = self.x_d, self.clock
         tau0 = clock(v0)[0]
         t_stop = tau0 - clock(math.log(math.tan(0.5 * theta)))[0]
@@ -232,19 +225,14 @@ def integrate(x0, controller: Controller, cfg: SimConfig) -> Trajectory:
 
     From a grid state where the law returns no band the run follows the
     law's exact far-field flow (when the law has a `far_field_clock`) up to
-    one step short of the next dilated bounding cap, the convergence angle
-    or T, evaluating the law only at the logged rows; everywhere else it
-    takes classical RK4 steps.
+    one step short of the next dilated cell cap, the convergence angle or T,
+    evaluating the law only at the logged rows; everywhere else it takes
+    classical RK4 steps.
     """
     x = coords_of(x0).astype(float).copy()
     x /= np.linalg.norm(x)
     dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
-    # each run starts from a clean ascent cache, so a trajectory is a pure
-    # function of (x0, controller configuration, cfg)
-    reset = getattr(controller, "reset_eval_cache", None)
-    if reset is not None:
-        reset()
     far = _FarField(controller) \
         if getattr(controller, "far_field_clock", None) is not None else None
 

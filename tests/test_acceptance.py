@@ -344,18 +344,24 @@ def test_criterion_7_reverse_geodesic_and_projected_chords(cones7, star4, star1)
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_vdot_monitor(star4_run, star1_run, star1_feasible_run):
-    total_checked = 0
+    # a boundary margin below each scenario's band width keeps its band rows
+    # in scope, so every scenario contributes checked slopes; it stays at the
+    # default 1e-2 where that is already below the band width
+    checked = []
     total_violations = 0
     for run in (star4_run, star1_run, star1_feasible_run):
+        margin = min(1e-2, 0.2 * run.controller.params.epsilon)
+        checked.append(0)
         for traj in run.trajectories:
-            rep = check_vdot_positive(traj, run.controller)
-            total_checked += rep.checked
+            rep = check_vdot_positive(traj, run.controller, boundary_margin=margin)
+            checked[-1] += rep.checked
             total_violations += len(rep.violations)
-    ok = total_violations == 0
+    ok = total_violations == 0 and min(checked) > 0
     assert report(
         "8", ok,
-        f"{total_violations} violations over {total_checked} in-scope "
-        f"segment slopes (slope floor -1e-6)")
+        f"{total_violations} violations over {sum(checked)} in-scope "
+        f"segment slopes {checked} (s2_star4, s3_star1, s3_star1_eps005; "
+        f"slope floor -1e-6)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Closed-loop integration, monitors, spectra, and the attitude adapter."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -8,7 +9,11 @@ import pytest
 
 from sphere_nav import geometry as geo
 from sphere_nav import simulate
-from sphere_nav.constraints import ConicCap, ConstraintArrangement
+from sphere_nav.charts import RadialTableChart, cell_boxes
+from sphere_nav.constraints import (
+    ConicCap,
+    ConstraintArrangement,
+)
 from sphere_nav.controllers import (
     ConicControllerParams,
     ConicGradientController,
@@ -364,8 +369,8 @@ def test_step_size_robustness(cones7, star1_feasible):
 
 
 def test_log_stride_does_not_change_states(star1_feasible):
-    # a log row is the state's own law evaluation, and logging never writes
-    # the star law's warm seeds, so every stride integrates the same states
+    # a log row is the state's own law evaluation and the star law keeps no
+    # state between evaluations, so every stride integrates the same states
     ctrl = star1_feasible.build_controller()
     x0 = draw_initial_conditions(star1_feasible, effective_seed(star1_feasible))[0]
     every = integrate(x0, ctrl, SimConfig(dt=1e-3, T=1.0, log_stride=1))
@@ -414,6 +419,20 @@ def test_far_field_flow_matches_rk4(monkeypatch, cones7_run, star4_run):
             assert len(fast) == len(ref)
             assert np.array_equal(fast.active, ref.active)
             assert np.abs(fast.x - ref.x).max() <= 1e-12
+
+
+def test_far_field_flow_matches_rk4_on_star_cells(monkeypatch, star1_feasible_run):
+    # the cell screen lets s3_star1_eps005 runs jump across the star region's
+    # far field; plain RK4 on the same grid must agree up to its truncation
+    # error
+    run = star1_feasible_run
+    _never_jump(monkeypatch)
+    for x0, fast in zip(run.ics[:2], run.trajectories):
+        ref = integrate(x0, run.controller, run.scenario.sim)
+        assert fast.verdict == ref.verdict
+        assert len(fast) == len(ref)
+        assert np.array_equal(fast.active, ref.active)
+        assert np.abs(fast.x - ref.x).max() <= 1e-12
 
 
 def _theta(y):
@@ -499,15 +518,40 @@ def test_far_field_jump_stops_at_grazed_band(monkeypatch):
     assert np.abs(fast.x - ref.x).max() <= 1e-12
 
 
+def _cell_boundary_points(region, n: int = 12) -> np.ndarray:
+    """(cells, points, n+1): boundary points spread over each chart cell of a
+    star region, cells in the order of its `cell_caps`."""
+    chart, body = region.chart, region.body
+    if isinstance(chart, RadialTableChart):
+        m = chart.values.size
+        t = np.linspace(0.0, 1.0, n + 1)
+        s = chart.points(np.repeat(np.arange(m), t.size), np.tile(t, m))
+    else:
+        # a cell's triangle is the 3 corners of its w-box that lie on the simplex
+        sign, lo, hi = cell_boxes(body.k)
+        pick = np.array(list(itertools.product((False, True), repeat=body.k)))
+        box = np.where(pick, hi[:, None, :], lo[:, None, :])
+        tri = box[np.abs(box.sum(axis=2) - 1.0) < 1e-12].reshape(len(box), body.k, body.k)
+        bary = np.array([(i, n - i) for i in range(n + 1)] if body.k == 2 else
+                        [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]) / n
+        w = np.einsum("bv,cvk->cbk", bary, tri)
+        s = chart.s_of((sign[:, None, :] * np.sqrt(w)).reshape(-1, body.k))
+    p = body.lift(s)
+    return (p / np.linalg.norm(p, axis=1, keepdims=True)).reshape(len(region.cell_reaches), -1, p.shape[1])
+
+
 @pytest.mark.parametrize("name", ["cones7", "star4", "star1_feasible"])
 def test_band_screen_keeps_every_band_and_gates_the_far_field(request, name):
-    # states up to two band widths from each region: the screen keeps every
-    # region whose refined distance is within eps, and the far-field planner
-    # refuses to jump exactly where the screen keeps some region
+    # states up to two band widths from each region's boundary: the screen
+    # keeps every region whose boundary is within eps through a row it owns,
+    # the star law also queries the regions that hold a state, and the
+    # far-field planner refuses to jump exactly where the screen keeps some row
     sc = request.getfixturevalue(name)
     arr, eps = sc.arrangement, sc.resolved_epsilon()
-    centers, cos_reach = arr.band_screen(eps)
-    far = simulate._FarField(sc.build_controller())
+    centers, cos_reach, owner = arr.band_screen(eps)
+    assert np.array_equal(np.unique(owner), np.arange(len(arr)))
+    ctrl = sc.build_controller()
+    far = simulate._FarField(ctrl)
     rng = np.random.default_rng(12)
     width = geo.angle_from_distance(eps)
     in_band = 0
@@ -516,13 +560,48 @@ def test_band_screen_keeps_every_band_and_gates_the_far_field(request, name):
             v = geo.tangent_basis(b) @ rng.normal(size=b.size - 1)
             x = geo.rotate_toward(b, v / np.linalg.norm(v),
                                   rng.uniform(0.0, 2.0 * width))
-            kept = centers @ x >= cos_reach * np.linalg.norm(x)
-            near = arr.distances(x) <= eps
-            assert kept[near].all()
+            rows = centers @ x >= cos_reach * np.linalg.norm(x)
+            margins = arr.signed_margins(x)
+            near = np.abs(margins) <= eps
+            assert np.isin(np.flatnonzero(near), owner[rows]).all()
+            if isinstance(ctrl, StarPiecewiseController):
+                held = np.flatnonzero([s.contains(x) for s in arr.sets])
+                assert np.isin(held, ctrl._candidates(x)).all()
             in_band += near.any()
             # on a 1e-12 grid no sampled state is within two steps of an entry
-            assert (far.plan(x, 1e-12, 10**12)[0] == 0) == kept.any()
+            assert (far.plan(x, 1e-12, 10**12)[0] == 0) == rows.any()
     assert in_band > 0
+    # each star cell's own row keeps the states just under eps from its
+    # boundary piece, pushed straight away from the row's centre
+    for i, region in enumerate(arr.sets):
+        if isinstance(region, ConicCap):
+            continue
+        c, cr = centers[owner == i], cos_reach[owner == i]
+        p = _cell_boundary_points(region)
+        away = p * np.einsum("cbk,ck->cb", p, c)[:, :, None] - c[:, None, :]
+        away /= np.maximum(np.linalg.norm(away, axis=2, keepdims=True), 1e-300)
+        x = np.cos(width * (1 - 1e-9)) * p + np.sin(width * (1 - 1e-9)) * away
+        assert (np.einsum("cbk,ck->cb", x, c) >= cr[:, None] - 1e-12).all()
+
+
+@pytest.mark.parametrize("name", ["star4", "star1_feasible"])
+def test_facet_bounds_cover_each_cell(request, name):
+    # the second bound of a star query: at states near a region and across
+    # it, no sampled point of a chart cell dots above the cell's facet bound
+    sc = request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    checked = 0
+    for region in sc.arrangement.sets:
+        p = _cell_boundary_points(region)
+        cells = np.arange(len(p))
+        for b in region.boundary_samples(12, rng):
+            v = geo.tangent_basis(b) @ rng.normal(size=b.size - 1)
+            x = geo.rotate_toward(b, v / np.linalg.norm(v), rng.uniform(0.0, 0.6))
+            bound = region._facet_bound(region._facet_units @ x, cells)
+            sampled = np.einsum("cbk,k->cb", p, x).max(axis=1)
+            assert (sampled <= bound + 1e-12).all()
+            checked += 1
+    assert checked >= 12
 
 
 def test_band_screen_dilated_cap_covering_the_sphere():
@@ -535,7 +614,7 @@ def test_band_screen_dilated_cap_covering_the_sphere():
         arr = ConstraintArrangement([ConicCap(UnitPoint(axis), 2.9)])
         ctrl = StarPiecewiseController(arr, StarControllerParams(
             k1=1.0, kappa=1.0, epsilon=0.05, x_d=UnitPoint(XD)))
-        centers, cos_reach = arr.band_screen(0.05)
+        centers, cos_reach, _ = arr.band_screen(0.05)
         far = simulate._FarField(ctrl)
         for x in np.vstack([-axis, pts]):
             assert (centers @ x >= cos_reach * np.linalg.norm(x)).all()
