@@ -2,8 +2,8 @@
 
 A chart cuts a body's boundary into cells, each inside a box whose corners
 (`corners`) bound it and close to the flat simplex spanned by its boundary
-corners (`facets`), and carries a grid of boundary vertices (`vertices`) and
-the body's tips (`tips_s`).  `refine` maximizes the boundary dot
+corners (`facets`), and carries a grid of boundary vertices (`vertices`) that
+holds every tip of the body.  `refine` maximizes the boundary dot
 x.P(s)/|P(s)| from the best vertex over the cells a caller's bound keeps.
 A power-sum body is 2^k simplex patches, each cut at edge midpoints; a
 radial table is charted by its segments.
@@ -175,7 +175,6 @@ class PowerSumChart:
         self.scale = level ** (1.0 / exponents)
         self._pw, self._sc = self.power.tolist(), self.scale.tolist()
         self.vert_u, self.vert_nbrs, self.cell_verts = _patch_grids(exponents.size)
-        self.tips_s = self.s_of(self.vert_u[np.abs(self.vert_u).max(axis=1) == 1.0])
 
     def corners(self) -> np.ndarray:
         """(cell, corner, coordinate): the 2^k corners of each cell's s-box."""
@@ -396,7 +395,6 @@ class RadialTableChart:
     def __init__(self, values: np.ndarray, kernel_s: np.ndarray):
         self.values, self.kernel_s = values, kernel_s
         self.step = 2.0 * np.pi / values.size
-        self.tips_s = self.vertices()[[int(np.argmax(values))]]
 
     def corners(self) -> np.ndarray:
         """(cell, corner, coordinate): the 4 corners of each segment's trapezoid."""

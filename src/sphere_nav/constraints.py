@@ -11,8 +11,11 @@ Both answer the same queries, so no caller branches on the region type:
 ``contains``, ``contains_interior`` (rows: ``contains_many``,
 ``contains_interior_many``), ``signed_margin``, ``distance``,
 ``distance_warm(x, within) -> (signed margin, argmax or None)`` (outside,
-where the margin certainly exceeds ``within``, a value above it), ``distances_coarse`` (rows; exact for caps), ``nearest_boundary``,
-``boundary_samples``, ``bounding``, ``cell_caps`` and ``kernel_on_sphere``.
+where the margin certainly exceeds ``within``, a value above it),
+``distances_coarse`` (rows; exact for caps, 1 - the best chart-vertex dot
+for star regions, never below the exact distance), ``nearest_boundary``,
+``boundary_samples`` (chart vertices for star regions), ``bounding``,
+``cell_caps`` and ``kernel_on_sphere``.
 
 Spherical distances to a region are ``d_s(x, U) = 1 - sup_{u in U} x.u``;
 for exterior points the supremum is attained on the boundary, so star
@@ -25,10 +28,10 @@ keeps the cells whose cap bound beats it, then those whose second-order
 facet bound still does, and solves locally only there; a caller that needs
 the margin only where it is within some width gets a bound, and no solve,
 where every bound is farther.  Every query is a pure function of x.  Star
-regions exist on S^2 and S^3; a build checks origin clearance and, where a
-radius is solved along rays, that each ray from the kernel crosses the body
-boundary once.  An arrangement reads each region's ``bounding`` cap and its
-cell caps once.
+regions exist on S^2 and S^3; a build refuses a body whose hyperplane passes
+within 1e-6 of the origin and, where a radius is solved along rays, checks
+that each ray from the kernel crosses the body boundary once.  An
+arrangement reads each region's ``bounding`` cap and its cell caps once.
 """
 
 from __future__ import annotations
@@ -114,14 +117,10 @@ class ConicCap:
         """(signed margin, None); the margin is exact, whatever `within`."""
         return self.signed_margin(x), None
 
-    def distances_raw(self, dots: np.ndarray) -> np.ndarray:
-        """Vectorized unsigned distance from axis-dot values."""
-        gap = np.arccos(np.clip(dots, -1.0, 1.0)) - self.xi
-        return np.where(gap > 0.0, 1.0 - np.cos(gap), 0.0)
-
     def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
         """Exact unsigned distances for rows of pts."""
-        return self.distances_raw(pts @ self.axis.coords)
+        gap = np.arccos(np.clip(pts @ self.axis.coords, -1.0, 1.0)) - self.xi
+        return np.where(gap > 0.0, 1.0 - np.cos(gap), 0.0)
 
     def nearest_boundary(self, x) -> np.ndarray:
         """Boundary point of the cap closest to x (any one, on ties)."""
@@ -321,10 +320,6 @@ class EuclideanStarBody:
     def lift(self, s: np.ndarray) -> np.ndarray:
         return self.anchor + np.atleast_2d(s) @ self.basis.T
 
-    def boundary_body(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = np.atleast_2d(dirs)
-        return self.kernel_s + self.radius(dirs)[:, None] * dirs
-
 
 def complete_basis(normal: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to `normal`.
@@ -357,14 +352,13 @@ class ProjectedStarShape:
     """Radial projection of a Euclidean star body onto S^n.
 
     Construction charts the boundary into cells with sound bounding caps and
-    caches the projected boundary (a direction grid plus the chart's tips)
-    and the chart vertices; use :func:`build_projected_star`, which also runs
-    the geometric sanity checks.
+    projects the chart vertices, which every query, the coarse distances and
+    the boundary samples read; use :func:`build_projected_star`, which also
+    runs the geometric sanity checks.
     """
 
-    def __init__(self, body: EuclideanStarBody, resolution: int):
+    def __init__(self, body: EuclideanStarBody):
         self.body = body
-        self.resolution = int(resolution)
         self.kernel_on_sphere: UnitPoint = geo.normalize(body.kernel_point)
         self._normal = body.normal
         self._offset = float(self._normal @ body.anchor)
@@ -376,15 +370,7 @@ class ProjectedStarShape:
         self._a = self._basisT @ body.anchor
         self._h2 = float(body.anchor @ body.anchor - self._a @ self._a)
         self.chart = body.profile.chart(body.kernel_s)
-
-        grid = body.boundary_body(_direction_grid(body.k, self.resolution))
-        amb = body.lift(np.vstack([grid, self.chart.tips_s]))
-        norms = np.linalg.norm(amb, axis=1)
-        if norms.min() <= 1e-6:
-            raise OriginInsideBody("projected boundary passes through the origin")
-        self.cache_ambient = amb
-        self.cache_sphere = amb / norms[:, None]
-        # the chart lies in the body hyperplane with the cache, clear of the origin
+        # the chart lies in the body hyperplane, clear of the origin
         vert = body.lift(self.chart.vertices())
         self._vertices = vert / np.linalg.norm(vert, axis=1, keepdims=True)
 
@@ -516,11 +502,12 @@ class ProjectedStarShape:
         return ok & (r - rho < -(np.sqrt(max(2.0 * tol, 0.0)) * hit_norm + 1e-12))
 
     def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
-        """Cache-resolution distances for rows of pts (zero where contained)."""
-        # row blocks keep the (rows x cache) dot table near 1 MB
+        """1 - the best chart-vertex dot for rows of pts (zero where contained);
+        never below the exact distance, since the vertices lie on the boundary."""
+        # row blocks keep the (rows x vertices) dot table near 2 MB
         best = np.empty(pts.shape[0])
         for a in range(0, pts.shape[0], 64):
-            best[a:a + 64] = (pts[a:a + 64] @ self.cache_sphere.T).max(axis=1)
+            best[a:a + 64] = (pts[a:a + 64] @ self._vertices.T).max(axis=1)
         d = 1.0 - best
         d[self.contains_many(pts)] = 0.0
         return d
@@ -591,10 +578,9 @@ class ProjectedStarShape:
         return self.max_boundary_dot(x)[1]
 
     def boundary_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        sphere = self.cache_sphere
-        idx = rng.choice(sphere.shape[0], size=min(count, sphere.shape[0]),
-                         replace=False)
-        return sphere[idx]
+        """Up to `count` distinct projected chart vertices."""
+        vert = self._vertices
+        return vert[rng.choice(len(vert), size=min(count, len(vert)), replace=False)]
 
     def bounding(self) -> tuple[np.ndarray, float]:
         """(center, angular reach): the kernel image, and the largest reach of a
@@ -606,26 +592,19 @@ class ProjectedStarShape:
         return self.cell_centers, self.cell_reaches
 
 
-def build_projected_star(body: EuclideanStarBody, resolution: int) -> ProjectedStarShape:
+def build_projected_star(body: EuclideanStarBody) -> ProjectedStarShape:
     """Project a Euclidean star body onto the sphere and certify the build.
 
-    Raises OriginInsideBody when the projected boundary or a kernel-to-boundary
-    segment meets the origin.  Star-shapedness is checked where a profile
+    Raises OriginInsideBody, before the chart is built, when the body's
+    hyperplane passes within 1e-6 of the origin: every point of the hyperplane,
+    so every boundary point and kernel-to-boundary segment, lies at least
+    |normal . anchor| from it.  Star-shapedness is checked where a profile
     solves its radius (NotStarShaped); segments in the body's hyperplane, which
     misses the origin, project onto geodesics.
     """
-    shape = ProjectedStarShape(body, resolution)
-
-    # origin clearance: exact point-to-segment distances
-    kernel_amb = body.kernel_point
-    bd_amb = shape.cache_ambient
-    rel = bd_amb - kernel_amb
-    denom = np.maximum((rel * rel).sum(axis=1), 1e-300)
-    tstar = np.clip(-(rel @ kernel_amb) / denom, 0.0, 1.0)
-    closest = kernel_amb + tstar[:, None] * rel
-    if np.sqrt((closest * closest).sum(axis=1)).min() <= 1e-6:
-        raise OriginInsideBody("a kernel-to-boundary segment passes the origin")
-    return shape
+    if abs(float(body.normal @ body.anchor)) <= 1e-6:
+        raise OriginInsideBody("the body's hyperplane passes within 1e-6 of the origin")
+    return ProjectedStarShape(body)
 
 
 ConstraintSet = ConicCap | ProjectedStarShape
@@ -951,8 +930,9 @@ class _Shadow:
 
         Only the windows where the circle passes within ``reach`` of the
         bounding centre can meet it; none opens when the whole circle stays
-        clear.  The refined distance at t_lo is tested first, then each window
-        is marched in steps of 1e-3.
+        clear.  The exact distance at t_lo is tested first, then each window
+        is marched in steps of 1e-3 on coarse distances, which are never
+        below the exact ones.
         """
         step = 1e-3
         s, base, center, eps = self.region, self.base, self.center, self.eps
@@ -965,17 +945,12 @@ class _Shadow:
         if not windows:
             return False
 
-        def dist_at(ts: np.ndarray) -> np.ndarray:
-            pts = np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)
-            if pts.shape[0] <= 4:
-                return np.array([s.distance(p) for p in pts])
-            # marching pass: cache-resolution distances (the cache includes the
-            # profile spikes, so the blur is the smooth-boundary sampling gap)
-            return s.distances_coarse(pts)
+        def on_ray(ts: np.ndarray) -> np.ndarray:
+            return np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)
 
-        if float(dist_at(np.array([t_lo]))[0]) <= eps:
+        if s.distance(on_ray(np.array([t_lo]))[0]) <= eps:
             return True
-        return any(bool((dist_at(np.arange(lo, hi + step, step)) <= eps).any())
+        return any(bool((s.distances_coarse(on_ray(np.arange(lo, hi + step, step))) <= eps).any())
                    for lo, hi in windows)
 
 

@@ -9,8 +9,7 @@ A scenario is a single JSON document:
         {"type": "star", "anchor": [...], "kernel": [...],
          "normal": [...],                      # hyperplane normal (optional)
          "profile": {"kind": "implicit-radial", "form": "power-sum",
-                     "exponents": [0.4, 0.4, 0.4], "level": 1.5},
-         "resolution": 2048}
+                     "exponents": [0.4, 0.4, 0.4], "level": 1.5}}
       ],
       "controller": {"law": "conic-gradient" | "star-piecewise",
                      "k1": 1.0, "kappa": 1.0 | "auto", "epsilon": 0.01 | "auto"},
@@ -218,14 +217,9 @@ def _parse_constraint(block: dict, dim: int, index: int,
             return None, None
         kernel, normal = (_vector_or_violation(block.get(key, anchor), f"{what}.{key}",
                                                dim, violations) for key in ("kernel", "normal"))
-        resolution = _number_or_violation(block.get("resolution", 2048),
-                                          f"{what}.resolution", violations, _integer)
-        if resolution is not None and resolution <= 0:
-            violations.append(f"{what}.resolution must be positive")
-            resolution = None
         profile = _parse_profile(block.get("profile", {}), f"{what}.profile",
                                  violations)
-        if any(v is None for v in (kernel, normal, resolution, profile)):
+        if any(v is None for v in (kernel, normal, profile)):
             return None, None
         if abs(float(normal @ anchor)) < 1e-12:
             violations.append(f"{what}: hyperplane through the origin")
@@ -234,7 +228,7 @@ def _parse_constraint(block: dict, dim: int, index: int,
         try:
             body = EuclideanStarBody(anchor=anchor, basis=basis,
                                      kernel_point=kernel, profile=profile)
-            shape = build_projected_star(body, resolution)
+            shape = build_projected_star(body)
         except SphereNavError as exc:
             violations.append(f"{what}: {exc}")
             return None, None
@@ -266,7 +260,11 @@ def parse_scenario(path: str) -> Scenario:
 def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     violations: list[str] = []
     doc = _typed(doc, "scenario", dict, violations)
-    name = doc.get("name") or (os.path.basename(path or "scenario").rsplit(".", 1)[0])
+    # the name prefixes every output file, so it must not leave the output directory
+    name = doc.get("name", os.path.basename(path or "scenario").rsplit(".", 1)[0])
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        violations.append(f"name must be a non-empty file name with no path separator, "
+                          f"not . or ..: {name!r}")
     dim = _number_or_violation(doc.get("dimension", 0), "dimension", violations, _integer)
     if dim is None or dim < 2:
         violations.append("dimension must be >= 2")
@@ -472,10 +470,11 @@ def validate_scenario(sc: Scenario, samples: int = 20_000,
     if sc.law == "star-piecewise":
         ks = suggest_kappa(arr, sc.target, epsilon)
         kappa_bar, kappa_rec = ks.kappa_bar, ks.recommended
-        kappa_cfg = sc.resolved_kappa()
+        # sc.resolved_kappa() would run the same suggestion again
+        kappa_cfg = kappa_rec if sc.kappa == "auto" else float(sc.kappa)
         if not np.isfinite(kappa_bar):
             failures.append("no finite repulsion-gain bound exists for this geometry")
-        elif kappa_cfg is not None and kappa_cfg <= kappa_bar:
+        elif kappa_cfg <= kappa_bar:
             failures.append(
                 f"kappa {kappa_cfg:.6g} does not exceed the bound {kappa_bar:.6g}")
 

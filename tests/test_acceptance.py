@@ -35,7 +35,7 @@ from sphere_nav.geometry import UnitPoint
 from sphere_nav.scenario import validate_scenario
 from sphere_nav.simulate import check_vdot_positive, jacobian_fd
 
-from test_constraints import cap_distance_oracle, disc_shape
+from test_constraints import cap_distance_oracle, disc_shape, lifted_vertices
 
 XD4 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -321,7 +321,7 @@ def test_criterion_7_reverse_geodesic_and_projected_chords(cones7, star4, star1)
     chord_worst = 0.0
     bodies = [star1.arrangement.sets[0], star4.arrangement.sets[0]]
     for shape in bodies:
-        amb = shape.cache_ambient
+        amb = lifted_vertices(shape)
         for _ in range(100):
             i, j = rng.choice(amb.shape[0], size=2, replace=False)
             a, b = amb[i], amb[j]
@@ -388,7 +388,7 @@ def test_criterion_9_distance_oracles():
     worst_star = 0.0
     for center_seed, radius in ((21, 0.15), (22, 0.3), (23, 0.5)):
         center = geo.sample_uniform(3, center_seed).coords
-        shape = disc_shape(center, radius, resolution=2048)
+        shape = disc_shape(center, radius)
         equivalent = ConicCap(UnitPoint(center), np.arctan(radius))
         for _ in range(100):
             x = geo.sample_uniform_many(3, 1, rng)[0]

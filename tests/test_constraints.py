@@ -88,14 +88,19 @@ def cap_distance_oracle(x, c: ConicCap, rng, raw_samples=10_000, refine=0):
     return est
 
 
-def disc_shape(center, radius, resolution=720):
+def disc_shape(center, radius):
     """Planar disc perpendicular to `center`; its projection is an exact cap."""
     c = np.asarray(center, dtype=float)
     k = c.size - 1
     profile = PowerSumProfile([2.0] * k, radius ** 2)
     body = EuclideanStarBody(anchor=c, basis=complete_basis(c),
                              kernel_point=c, profile=profile)
-    return build_projected_star(body, resolution)
+    return build_projected_star(body)
+
+
+def lifted_vertices(shape):
+    """The chart vertices of a star region as points of the body's hyperplane."""
+    return shape.body.lift(shape.chart.vertices())
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def test_cap_contains():
 def test_disc_projects_to_cap():
     center = geo.normalize([0.2, -0.4, 0.6, 0.2]).coords
     radius = 0.2
-    shape = disc_shape(center, radius, resolution=2048)
+    shape = disc_shape(center, radius)
     equivalent = ConicCap(UnitPoint(center), np.arctan(radius))
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -162,7 +167,7 @@ def test_star_distance_basics():
     g = shape.kernel_on_sphere
     assert shape.distance(g) == 0.0
     assert shape.distance(-g.coords) > 1.0
-    bd = shape.cache_sphere[17]
+    bd = geo.normalize(lifted_vertices(shape)[17])
     assert shape.contains(bd)
 
 
@@ -171,7 +176,7 @@ def test_powersum_body_builds_and_kernel_validates():
     body = EuclideanStarBody(anchor=g1, basis=complete_basis([0, 0, 0, 1.0]),
                              kernel_point=g1,
                              profile=PowerSumProfile([0.4, 0.4, 0.4], 1.5))
-    shape = build_projected_star(body, 1024)
+    shape = build_projected_star(body)
     assert np.allclose(shape.kernel_on_sphere.coords, g1)
     # exact spike-tip distance to the target direction
     xd = np.array([1.0, 0.0, 0.0, 0.0])
@@ -184,14 +189,17 @@ def test_powersum_body_builds_and_kernel_validates():
 
 
 def test_origin_inside_body_rejected():
-    # hyperplane through the origin with the kernel within reach of 0
-    anchor = np.array([0.2, 0.0, 0.0])
+    # every point of a hyperplane lies at least |normal . anchor| from the
+    # origin: here a hyperplane through it, with the kernel within reach of 0,
+    # and a disc clear of the origin in the plane z = 5e-7, whose image is a sliver
     normal = np.array([0.0, 0.0, 1.0])
-    body = EuclideanStarBody(anchor=anchor, basis=complete_basis(normal),
-                             kernel_point=anchor,
-                             profile=PowerSumProfile([2.0, 2.0], 0.25))
-    with pytest.raises(OriginInsideBody):
-        build_projected_star(body, 256)
+    for anchor, level in (([0.2, 0.0, 0.0], 0.25), ([0.5, 0.0, 5e-7], 0.04)):
+        anchor = np.array(anchor)
+        body = EuclideanStarBody(anchor=anchor, basis=complete_basis(normal),
+                                 kernel_point=anchor,
+                                 profile=PowerSumProfile([2.0, 2.0], level))
+        with pytest.raises(OriginInsideBody):
+            build_projected_star(body)
 
 
 def power_sum_body(anchor, exponents, level, kernel=None):
@@ -217,7 +225,7 @@ def test_body_not_star_shaped_about_its_kernel_rejected():
                  power_sum_body([0.0, -2.0, 0.0], [0.4, 1.5], 0.5),
                  power_sum_body([0.0, -2.0, 0.0], [1.0, 2.0], 0.5),
                  power_sum_body(anchor, [2.0, 3.0, 4.0], 1.0)):
-        build_projected_star(body, 512)
+        build_projected_star(body)
 
 
 def test_bounding_reach_covers_the_region():
@@ -227,16 +235,20 @@ def test_bounding_reach_covers_the_region():
                  power_sum_body([0.0, -2.0, 0.0], [1.0, 2.0], 0.5),
                  power_sum_body([0.0, -2.0, 0.0], [2.0, 2.0], 0.25,
                                 kernel=[0.05, -2.0, 0.0])):
-        shape = build_projected_star(body, 1024)
+        shape = build_projected_star(body)
         center, reach = shape.bounding()
-        angles = np.arccos(np.clip(shape.cache_sphere @ center, -1.0, 1.0))
+        # a dense boundary from the body's own radius, not from the chart
+        phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        dirs = np.column_stack([np.cos(phi), np.sin(phi)])
+        amb = body.lift(body.kernel_s + body.radius(dirs)[:, None] * dirs)
+        angles = np.arccos(np.clip(amb @ center / np.linalg.norm(amb, axis=1), -1.0, 1.0))
         assert angles.max() <= reach
 
 
 def test_projected_chords_land_on_geodesics():
     shape = disc_shape(geo.normalize([0.3, 0.1, 0.9]).coords, 0.4)
     rng = np.random.default_rng(5)
-    amb = shape.cache_ambient
+    amb = lifted_vertices(shape)
     for _ in range(25):
         i, j = rng.choice(amb.shape[0], size=2, replace=False)
         seg = geo.arc(geo.normalize(amb[i]), geo.normalize(amb[j]))
@@ -328,6 +340,8 @@ def test_nearest_boundary_lies_on_boundary(request, name):
     pts, _ = _interior_exterior_points(region)
     for x in pts:
         assert abs(region.signed_margin(region.nearest_boundary(x))) <= 1e-9
+    for b in region.boundary_samples(20, np.random.default_rng(4)):
+        assert abs(region.signed_margin(b)) <= 1e-9
 
 
 def _power_sum_chart_oracle(region, x, n: int = 150, polish: int = 8) -> float:
@@ -458,7 +472,7 @@ def test_validate_kernel_detects_non_star_proposal():
     body = EuclideanStarBody(anchor=anchor, basis=complete_basis(anchor),
                              kernel_point=anchor,
                              profile=RadialTableProfile(vals))
-    shape = build_projected_star(body, 1440)
+    shape = build_projected_star(body)
     good = validate_kernel(shape, shape.kernel_on_sphere, seed=2)
     assert good.ok, good.failures
     off_lobe = geo.normalize(body.lift(np.array([0.3, 0.0]))[0])
@@ -647,7 +661,7 @@ def test_dilation_memberships_monotone():
     rng = np.random.default_rng(8)
     c = cap(geo.sample_uniform_many(3, 1, rng)[0], 0.5)
     pts = geo.sample_uniform_many(3, 4000, rng)
-    d = c.distances_raw(pts @ c.axis.coords)
+    d = c.distances_coarse(pts)
     counts = [(d <= p).sum() for p in (0.05, 0.1, 0.2, 0.4)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 

@@ -2,10 +2,12 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sphere_nav.scenario as scenario_module
 from sphere_nav import geometry as geo
 from sphere_nav.cli import main as cli_main
 from sphere_nav.constraints import pairwise_separation
@@ -47,8 +49,7 @@ def star_block(**overrides):
     """A small disc body on S^2 around -e_y, clear of the tiny cap and target."""
     block = {"type": "star", "anchor": [0.0, -2.0, 0.0],
              "profile": {"kind": "implicit-radial", "exponents": [2.0, 2.0],
-                         "level": 0.25},
-             "resolution": 256}
+                         "level": 0.25}}
     block.update(overrides)
     return block
 
@@ -67,8 +68,6 @@ MALFORMED_REGIONS = [
     (star_block(anchor="south"), "anchor"),
     (star_block(kernel="centre"), "kernel"),
     (star_block(normal="up"), "normal"),
-    (star_block(resolution="fine"), "resolution"),
-    (star_block(resolution=-5), "resolution"),
     ({"type": "cap", "axis": [float("nan"), 0.0, 0.0], "xi": 0.4}, "axis"),
     (star_block(anchor=[0.0, float("-inf"), 0.0]), "anchor"),
     (star_block(profile={"kind": "implicit-radial", "exponents": [2.0, 2.0],
@@ -114,6 +113,8 @@ MALFORMED_FIELDS = [
     (None, "dimension", 3.7, "dimension"),
     ("initial_conditions", "count", 2.5, "count"),
     ("initial_conditions", "count", -3, "count"),
+    (None, "name", "../escaped", "name"),
+    (None, "name", 5, "name"),
 ]
 
 
@@ -227,6 +228,24 @@ def test_validate_flags_infeasible_band(star1):
     assert rep.kappa_bar == float("inf")
 
 
+def test_validate_suggests_kappa_once(star1, monkeypatch):
+    # with kappa "auto" the configured gain is the suggestion validation made
+    auto = replace(star1, kappa="auto")
+    real, calls = scenario_module.suggest_kappa, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "suggest_kappa", counted)
+    rep = validate_scenario(auto, samples=100)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert rep.kappa_configured == rep.kappa_recommended == auto.resolved_kappa()
+    fixed = validate_scenario(replace(star1, kappa=rep.kappa_recommended), samples=100)
+    assert rep.to_dict() == fixed.to_dict()
+
+
 def test_feasible_bundles_pass_validation(star4, star1_feasible):
     # run-before-validate ordering holds for every feasible bundled scenario
     for sc in (star4, star1_feasible):
@@ -279,7 +298,8 @@ def test_csv_format(tmp_path):
     sc = parse_scenario(write_doc(tmp_path, tiny_scenario_doc()))
     rep = run_scenario(sc, out_dir=str(tmp_path / "out"))
     path = rep.results[0].csv_path
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "t,x0,x1,x2,u0,u1,u2,d_target,d_unsafe,active_i,V_active"
     row = lines[1].split(",")
     assert len(row) == 11
