@@ -20,11 +20,8 @@ from .controllers import (
     ConicGradientController,
     StarControllerParams,
     StarPiecewiseController,
-    conic_control,
     conic_control_fd,
-    navigation_value,
     smoothstep,
-    star_control,
     suggest_kappa,
 )
 from .geometry import (

@@ -8,14 +8,13 @@ Two kinds of region are supported:
   origin) onto the sphere.
 
 Both answer the same queries, so no caller branches on the region type:
-``contains``, ``contains_interior`` (rows: ``contains_many``,
-``contains_interior_many``), ``signed_margin``, ``distance``,
+``contains``, ``contains_interior``, ``signed_margin``, ``distance``,
 ``distance_warm(x, within) -> (signed margin, argmax or None)`` (outside,
 where the margin certainly exceeds ``within``, a value above it),
 ``distances_coarse`` (rows; exact for caps, 1 - the best chart-vertex dot
 for star regions, never below the exact distance), ``nearest_boundary``,
 ``boundary_samples`` (chart vertices for star regions), ``bounding``,
-``cell_caps`` and ``kernel_on_sphere``.
+``cell_caps``, ``kernel_on_sphere`` and ``star_shaped_about``.
 
 Spherical distances to a region are ``d_s(x, U) = 1 - sup_{u in U} x.u``;
 for exterior points the supremum is attained on the boundary, so star
@@ -30,8 +29,10 @@ the margin only where it is within some width gets a bound, and no solve,
 where every bound is farther.  Every query is a pure function of x.  Star
 regions exist on S^2 and S^3; a build refuses a body whose hyperplane passes
 within 1e-6 of the origin and, where a radius is solved along rays, checks
-that each ray from the kernel crosses the body boundary once.  An
-arrangement reads each region's ``bounding`` cap and its cell caps once.
+that each ray from the kernel crosses the body boundary once; the kernel
+check runs the same crossing test (`crosses_once`) from any other proposed
+kernel point.  An arrangement reads each region's ``bounding`` cap and its
+cell caps once.
 """
 
 from __future__ import annotations
@@ -54,13 +55,10 @@ from .geometry import UnitPoint, coords_of
 
 BOUNDARY_CLOSURE_TOL = 1e-9   # boundary points report as contained
 INTERIOR_TOL = 1e-12          # strictly-inside test threshold
-KERNEL_GRID = 64              # geodesic steps per kernel-check walk
-KERNEL_TOL = 1e-9             # membership closure along the kernel-check walks
-CROSSING_DIRS = 4096          # ray directions of the single-crossing check
-CROSSING_POINTS = 64          # points per ray segment in that check
+CROSSING_DIRS = 4096          # ray directions of the single-crossing test
+CROSSING_POINTS = 64          # points before, and past, each ray's boundary point
 CELL_PAD = 1e-12              # roundoff pad on every cell reach
 BAND_SLACK = 1e-9             # distance slack of the band screen
-KERNEL_SAMPLES = 120          # boundary samples per kernel check
 SEPARATION_SAMPLES = 400      # boundary samples per region in pairwise_separation
 
 
@@ -94,16 +92,6 @@ class ConicCap:
 
     def contains_interior(self, x, tol: float = INTERIOR_TOL) -> bool:
         return self.signed_margin(x) < -tol
-
-    def contains_many(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Row version of `contains`."""
-        return pts @ self.axis.coords >= np.cos(self.xi) - tol
-
-    def contains_interior_many(self, pts: np.ndarray,
-                               tol: float = INTERIOR_TOL) -> np.ndarray:
-        """Row version of `contains_interior`."""
-        gap = np.arccos(np.clip(pts @ self.axis.coords, -1.0, 1.0)) - self.xi
-        return np.sign(gap) * (1.0 - np.cos(gap)) < -tol
 
     def signed_margin(self, x) -> float:
         """Spherical distance to the cap, negative when x is inside."""
@@ -149,6 +137,12 @@ class ConicCap:
         """(centers, reaches) of caps covering the boundary: the cap itself."""
         return self.axis.coords[None, :], np.array([self.xi])
 
+    def star_shaped_about(self, g: np.ndarray) -> bool:
+        """True: a great circle meets the boundary circle at most twice, so
+        the cap is star-shaped about every interior g whose antipode lies
+        outside, whatever its half-angle."""
+        return True
+
 
 # ---------------------------------------------------------------------------
 # Euclidean star bodies and their radial profiles
@@ -176,6 +170,10 @@ class PowerSumProfile:
         s = np.atleast_2d(s)
         return (np.abs(s) ** self.exponents).sum(axis=1) - self.level
 
+    def contains(self, s: np.ndarray, kernel_s: np.ndarray) -> np.ndarray:
+        """Rows of body coordinates s -> in the body; the kernel plays no part."""
+        return self.implicit(s) <= 0.0
+
     def radius_fn(self, kernel_s: np.ndarray):
         """Direction rows -> boundary radius about kernel_s, dispatched once."""
         if self.exponents.size != kernel_s.size:
@@ -185,30 +183,11 @@ class PowerSumProfile:
             return partial(_power_sum_radius, self._equal_e, 1.0 / self._equal_e,
                            self.level)
         radius = partial(_radial_bisection, self.implicit, kernel_s)
-        self._check_single_crossing(kernel_s, radius)
-        return radius
-
-    def _check_single_crossing(self, kernel_s: np.ndarray, radius):
-        """Raise NotStarShaped unless each ray from kernel_s crosses the boundary once.
-
-        On a direction grid, points before the solved radius must be in the body
-        and points past it, out to the reach, outside; the boundary point is not tested.
-        """
-        dirs = _direction_grid(kernel_s.size, CROSSING_DIRS)
-        rho = radius(dirs)[:, None]
-        # the cells' boxes hold the boundary, so their corners bound its radius
-        reach = float(np.linalg.norm(self.chart(kernel_s).corners() - kernel_s, axis=-1).max())
-        lam = np.arange(CROSSING_POINTS) / CROSSING_POINTS   # [0, 1)
-        past = rho + (1.0 - lam) * (reach - rho)
-
-        def inside(r: np.ndarray) -> np.ndarray:
-            pts = (kernel_s + r[:, :, None] * dirs[:, None, :]).reshape(-1, kernel_s.size)
-            return self.implicit(pts).reshape(r.shape) <= 0.0
-
-        if not inside(lam * rho).all() or \
-                (inside(past) & (past > rho + 1e-9 * (1.0 + reach))).any():
+        if not crosses_once(partial(self.contains, kernel_s=kernel_s), kernel_s, kernel_s,
+                            radius, self.chart(kernel_s)):
             raise NotStarShaped("a ray from the kernel does not cross the body "
                                 "boundary exactly once")
+        return radius
 
     def chart(self, kernel_s: np.ndarray) -> PowerSumChart:
         """The simplex chart of the boundary; it is taken about the anchor."""
@@ -234,6 +213,13 @@ class RadialTableProfile:
         if kernel_s.size != 2:
             raise DomainError("radial-table profiles are planar (k = 2)")
         return self._radius
+
+    def contains(self, s: np.ndarray, kernel_s: np.ndarray) -> np.ndarray:
+        """Rows of body coordinates s -> in the body, whose radius the table
+        gives about the kernel."""
+        rel = s - kernel_s
+        r = np.linalg.norm(rel, axis=1)
+        return r <= self._radius(rel / np.maximum(r, 1e-300)[:, None])
 
     def _radius(self, dirs: np.ndarray) -> np.ndarray:
         phi = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
@@ -329,6 +315,38 @@ def complete_basis(normal: np.ndarray) -> np.ndarray:
     """
     n = np.asarray(normal, dtype=float)
     return geo.tangent_basis(n / np.linalg.norm(n))
+
+
+def crosses_once(inside, center: np.ndarray, kernel_s: np.ndarray, radius, chart) -> bool:
+    """Does each ray from `center` cross the boundary of a body once?
+
+    The body has boundary radius `radius` along direction rows from
+    `kernel_s`, its chart's vertices lie on its boundary and the corners of
+    its chart cells bound its reach; `inside` maps rows of body coordinates
+    to booleans.  The rays run through the boundary points on a grid of
+    directions from the kernel and through the chart vertices, which hold a
+    spiky body's tips.  On each, the points before its boundary point must be
+    inside and those past it, out to the reach, outside; the boundary point
+    itself is not tested.
+    """
+    dirs = _direction_grid(kernel_s.size, CROSSING_DIRS)
+    rel = np.vstack([kernel_s + radius(dirs)[:, None] * dirs, chart.vertices()]) - center
+    reach = float(np.linalg.norm(chart.corners() - center, axis=-1).max())
+    lam = np.arange(CROSSING_POINTS) / CROSSING_POINTS   # [0, 1)
+    # blocks of rays keep the point tables near 2 MB
+    for a in range(0, len(rel), 512):
+        rho = np.linalg.norm(rel[a:a + 512], axis=1)[:, None]
+        unit = rel[a:a + 512] / rho
+        past = rho + (1.0 - lam) * (reach - rho)
+
+        def on_rays(r: np.ndarray) -> np.ndarray:
+            pts = (center + r[:, :, None] * unit[:, None, :]).reshape(-1, center.size)
+            return inside(pts).reshape(r.shape)
+
+        if not on_rays(lam * rho).all() or \
+                (on_rays(past) & (past > rho + 1e-9 * (1.0 + reach))).any():
+            return False
+    return True
 
 
 def _direction_grid(k: int, count: int) -> np.ndarray:
@@ -488,19 +506,6 @@ class ProjectedStarShape:
                         self._axis0)
         return ok, r, self._rho(dirs), np.sqrt((hits * hits).sum(axis=1))
 
-    def contains_many(self, pts: np.ndarray,
-                      tol: float = BOUNDARY_CLOSURE_TOL) -> np.ndarray:
-        """Row version of `contains`."""
-        ok, r, rho, hit_norm = self._radial_excess_many(pts)
-        slack = np.sqrt(max(2.0 * tol, 0.0)) * hit_norm * 4.0 + 1e-12
-        return ok & (r <= rho + slack)
-
-    def contains_interior_many(self, pts: np.ndarray,
-                               tol: float = INTERIOR_TOL) -> np.ndarray:
-        """Row version of `contains_interior`."""
-        ok, r, rho, hit_norm = self._radial_excess_many(pts)
-        return ok & (r - rho < -(np.sqrt(max(2.0 * tol, 0.0)) * hit_norm + 1e-12))
-
     def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
         """1 - the best chart-vertex dot for rows of pts (zero where contained);
         never below the exact distance, since the vertices lie on the boundary."""
@@ -509,7 +514,9 @@ class ProjectedStarShape:
         for a in range(0, pts.shape[0], 64):
             best[a:a + 64] = (pts[a:a + 64] @ self._vertices.T).max(axis=1)
         d = 1.0 - best
-        d[self.contains_many(pts)] = 0.0
+        # `contains`, row by row
+        ok, r, rho, hit_norm = self._radial_excess_many(pts)
+        d[ok & (r <= rho + (np.sqrt(2.0 * BOUNDARY_CLOSURE_TOL) * hit_norm * 4.0 + 1e-12))] = 0.0
         return d
 
     def contains_interior(self, x, tol: float = INTERIOR_TOL) -> bool:
@@ -590,6 +597,22 @@ class ProjectedStarShape:
     def cell_caps(self) -> tuple[np.ndarray, np.ndarray]:
         """(centers, reaches) of the chart cells' caps, which cover the boundary."""
         return self.cell_centers, self.cell_reaches
+
+    def star_shaped_about(self, g: np.ndarray) -> bool:
+        """Is the region star-shaped about its interior point g?
+
+        Radial projection maps the segments of the body's hyperplane to
+        geodesic arcs, so it is exactly when the body is star-shaped about p,
+        where the ray through g meets the hyperplane.  About its own kernel
+        image the build certified that, or it holds analytically; about any
+        other g it takes the crossing test from p, on the membership of the
+        body (the region's, without a radius solve per point).
+        """
+        if np.array_equal(g, self.kernel_on_sphere.coords):
+            return True
+        p = self._offset / float(g @ self._normal) * (self._basisT @ g) - self._a
+        return crosses_once(partial(self.body.profile.contains, kernel_s=self._kernel_s), p,
+                            self._kernel_s, self._rho, self.chart)
 
 
 def build_projected_star(body: EuclideanStarBody) -> ProjectedStarShape:
@@ -798,12 +821,6 @@ def pairwise_separation(arr: ConstraintArrangement, seed: int = 0) -> float:
 @dataclass
 class KernelFailure:
     code: str
-    lam: float | None = None
-    at: np.ndarray | None = None
-
-    def __repr__(self):
-        extra = "" if self.lam is None else f"(lam={self.lam:.4f})"
-        return f"{self.code}{extra}"
 
 
 @dataclass
@@ -814,52 +831,32 @@ class KernelReport:
     antipode_margin: float
 
 
-def _note_first_failure(failures: list[KernelFailure], code: str,
-                        lams: np.ndarray, pts: np.ndarray, ok: np.ndarray):
-    """Record the first geodesic point that fails its test, once per code."""
-    if ok.all() or any(f.code == code for f in failures):
-        return
-    j = int(np.argmin(ok))
-    failures.append(KernelFailure(code, lam=float(lams[j]), at=pts[j]))
-
-
-def validate_kernel(s: ConstraintSet, g, seed: int = 0) -> KernelReport:
+def validate_kernel(s: ConstraintSet, g) -> KernelReport:
     """Certify g as a usable kernel point of the region.
 
     Checks: (a) g lies strictly inside; (b) -g lies outside; (c) geodesics
-    from g to sampled boundary points stay inside (kernel membership);
-    (d) geodesics from boundary points to -g never enter the interior.
-    Membership along the geodesics uses the exact ray/inequality tests.
+    from g to the boundary stay inside (kernel membership); (d) geodesics
+    from the boundary on to -g never enter the interior.  Given (a) and (b),
+    (c) and (d) both hold exactly when the region is star-shaped about g
+    (`star_shaped_about`), and fail together: a ray from an interior point
+    that crosses the boundary more than once crosses it at least three
+    times, so it leaves and re-enters.  Nothing is drawn at random.
     """
     gc = coords_of(g)
     failures: list[KernelFailure] = []
 
     # distance from g to the region boundary, positive only when g is inside
     interior_margin = -s.signed_margin(gc)
-    if not (interior_margin > INTERIOR_TOL and s.contains(gc)):
+    interior = interior_margin > INTERIOR_TOL and s.contains(gc)
+    if not interior:
         failures.append(KernelFailure("NotInInterior"))
 
     anti_margin = s.signed_margin(-gc)
     if s.contains(-gc) or anti_margin <= 0.0:
         failures.append(KernelFailure("AntipodeInside"))
 
-    rng = np.random.default_rng(seed)
-    boundary = s.boundary_samples(KERNEL_SAMPLES, rng)
-    lams = np.linspace(0.0, 1.0, KERNEL_GRID + 1)
-    gp = UnitPoint(gc)
-
-    for x in boundary:
-        xb = geo.normalize(x)
-        # (c) forward geodesic g -> x must stay in the region
-        if gp.dot(xb) > -1.0 + 1e-12:
-            pts = geo.slerp_many(gp, xb, lams)
-            _note_first_failure(failures, "GeodesicEscapes", lams, pts,
-                                s.contains_many(pts, KERNEL_TOL))
-        # (d) reverse geodesic x -> -g must avoid the interior
-        if xb.dot(-gc) > -1.0 + 1e-12:
-            pts = geo.slerp_many(xb, UnitPoint(-gc), lams)
-            _note_first_failure(failures, "ReverseGeodesicEnters", lams, pts,
-                                ~s.contains_interior_many(pts, KERNEL_TOL))
+    if interior and not s.star_shaped_about(gc):
+        failures += [KernelFailure("GeodesicEscapes"), KernelFailure("ReverseGeodesicEnters")]
 
     return KernelReport(ok=not failures, failures=failures,
                         interior_margin=float(interior_margin),
@@ -931,8 +928,10 @@ class _Shadow:
         Only the windows where the circle passes within ``reach`` of the
         bounding centre can meet it; none opens when the whole circle stays
         clear.  The exact distance at t_lo is tested first, then each window
-        is marched in steps of 1e-3 on coarse distances, which are never
-        below the exact ones.
+        is marched in steps of 1e-3 on coarse distances.  Those are never
+        below the exact ones, so the march can miss a crossing of D_eps(U)
+        thinner than the step or than the coarse overstatement: a yes is
+        sound, a no is not proof.
         """
         step = 1e-3
         s, base, center, eps = self.region, self.base, self.center, self.eps

@@ -236,28 +236,13 @@ class StarPiecewiseController:
 
 
 # ---------------------------------------------------------------------------
-# functional wrappers
+# finite-difference oracle
 # ---------------------------------------------------------------------------
-
-def navigation_value(x, arr: ConstraintArrangement,
-                     params: ConicControllerParams) -> float:
-    return ConicGradientController(arr, params).navigation_value(x)
-
-
-def conic_control(x, arr: ConstraintArrangement,
-                  params: ConicControllerParams) -> np.ndarray:
-    return ConicGradientController(arr, params).control(x)[0]
-
-
-def star_control(x, arr: ConstraintArrangement,
-                 params: StarControllerParams) -> np.ndarray:
-    return StarPiecewiseController(arr, params).control(x)[0]
-
 
 def conic_control_fd(x, arr: ConstraintArrangement,
                      params: ConicControllerParams,
                      step: float = 1e-6) -> np.ndarray:
-    """Central-difference negative gradient of W; the oracle for conic_control."""
+    """Central-difference negative gradient of W; the oracle for the conic law."""
     ctrl = ConicGradientController(arr, params)
     xc = coords_of(x).copy()
     if ctrl.signed_union_margin(xc) <= step:

@@ -8,6 +8,7 @@ A scenario is a single JSON document:
         {"type": "cap", "axis": [...], "xi": 0.5236},
         {"type": "star", "anchor": [...], "kernel": [...],
          "normal": [...],                      # hyperplane normal (optional)
+         "kernel_on_sphere": [...],            # the law's g_i (optional)
          "profile": {"kind": "implicit-radial", "form": "power-sum",
                      "exponents": [0.4, 0.4, 0.4], "level": 1.5}}
       ],
@@ -22,7 +23,10 @@ hyperplane coordinates about the anchor; ``radial-table`` lists boundary
 radii about the kernel at uniform angles (planar bodies only).  When
 ``normal`` is omitted it defaults to the anchor direction; the in-plane
 basis completes the normal deterministically (standard axes, Gram-Schmidt
-in index order), which the tabulated radii rely on.
+in index order), which the tabulated radii rely on.  ``kernel_on_sphere``
+is the unit point g_i that the star law repels from.  When it is omitted it
+is the kernel's image on the sphere; `validate` certifies any other choice
+with the crossing test from the point where its ray meets the hyperplane.
 
 Reports are reproducible byte for byte for a fixed (scenario, seed): no
 timestamps, sorted keys, and 17-significant-digit floats in the CSVs.  The
@@ -454,7 +458,7 @@ def validate_scenario(sc: Scenario, samples: int = 20_000,
 
     kernel_ok, kernel_codes = [], []
     for i, s in enumerate(arr.sets):
-        rep = validate_kernel(s, arr.kernels[i], seed=seed)
+        rep = validate_kernel(s, arr.kernels[i])
         kernel_ok.append(rep.ok)
         kernel_codes.append([f.code for f in rep.failures])
         if not rep.ok:

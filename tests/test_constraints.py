@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from sphere_nav import constraints
 from sphere_nav import geometry as geo
 from sphere_nav.charts import cell_boxes
 from sphere_nav.constraints import (
-    KERNEL_SAMPLES,
     ConicCap,
     ConstraintArrangement,
     EuclideanStarBody,
@@ -183,7 +183,7 @@ def test_powersum_body_builds_and_kernel_validates():
     tip = g1 + np.array([1.5 ** 2.5, 0, 0, 0])
     expected = 1.0 - float(tip @ xd) / np.linalg.norm(tip)
     assert abs(shape.distance(xd) - expected) <= 1e-9
-    rep = validate_kernel(shape, shape.kernel_on_sphere, seed=1)
+    rep = validate_kernel(shape, shape.kernel_on_sphere)
     assert rep.ok, rep.failures
     assert rep.interior_margin > 0.0
 
@@ -279,13 +279,28 @@ def _interior_exterior_points(region, seed: int = 11):
     return np.array(inner + outer), len(inner)
 
 
-def _kernel_walks(region, g, samples=KERNEL_SAMPLES, seed=0, grid=64):
-    """(failure code, lams, points) of each geodesic validate_kernel walks from g."""
+WALK_SAMPLES = 120      # boundary samples of the reference kernel walks
+BOTH_WALKS = {"GeodesicEscapes", "ReverseGeodesicEnters"}
+
+
+def walk_failures(region, g, samples=WALK_SAMPLES, seed=0, grid=64) -> set[str]:
+    """The reference kernel check: geodesics from g to sampled boundary points
+    and from them on to -g, walked in `grid` steps.  A forward walk fails at a
+    point outside the region, a reverse one at a point inside its interior
+    (closure 1e-9); returns the codes of the walks that fail."""
+    g = geo.normalize(g)
     lams = np.linspace(0.0, 1.0, grid + 1)
+    codes = set()
     for b in region.boundary_samples(samples, np.random.default_rng(seed)):
         b = geo.normalize(b)
-        yield "GeodesicEscapes", lams, geo.slerp_many(g, b, lams)
-        yield "ReverseGeodesicEnters", lams, geo.slerp_many(b, -g.coords, lams)
+        if "GeodesicEscapes" not in codes and any(
+                not region.contains(p, tol=1e-9) for p in geo.slerp_many(g, b, lams)):
+            codes.add("GeodesicEscapes")
+        if "ReverseGeodesicEnters" not in codes and any(
+                region.contains_interior(p, tol=1e-9)
+                for p in geo.slerp_many(b, -g.coords, lams)):
+            codes.add("ReverseGeodesicEnters")
+    return codes
 
 
 @pytest.mark.parametrize("name", ["cap", "star4", "star1_feasible"])
@@ -311,27 +326,12 @@ def test_region_interface(request, name):
             assert abs(d_coarse - d) <= 1e-15
         assert 1.0 - float(x @ region.nearest_boundary(x)) >= d - 1e-12
 
-    # row membership answers as the scalar tests do, at the kernel check's
-    # tolerance, on these points and on the geodesics validate_kernel walks
-    g = region.kernel_on_sphere
-    walked = np.vstack([pts] + [walk for _, _, walk in _kernel_walks(region, g)])
-    assert np.array_equal(region.contains_many(walked, 1e-9),
-                          [region.contains(p, tol=1e-9) for p in walked])
-    assert np.array_equal(region.contains_interior_many(walked, 1e-9),
-                          [region.contains_interior(p, tol=1e-9) for p in walked])
-    # off the kernel (both stars then fail both geodesic checks), each code
-    # reports the first failing point that a point-by-point walk finds
+    # off the kernel both stars fail both geodesic checks, as the walks do
     edge = region.boundary_samples(1, np.random.default_rng(11))[0]
-    g_off = geo.slerp(g, geo.normalize(edge), 0.9)
-    first = {}
-    for code, lams, walk in _kernel_walks(region, g_off):
-        fails = [region.contains_interior(p, tol=1e-9) if code == "ReverseGeodesicEnters"
-                 else not region.contains(p, tol=1e-9) for p in walk]
-        if any(fails):
-            first.setdefault(code, float(lams[fails.index(True)]))
-    rep = validate_kernel(region, g_off, seed=0)
-    assert len(first) == (0 if name == "cap" else 2)
-    assert {f.code: f.lam for f in rep.failures} == first
+    g_off = geo.slerp(region.kernel_on_sphere, geo.normalize(edge), 0.9)
+    walked = walk_failures(region, g_off)
+    assert walked == (set() if name == "cap" else BOTH_WALKS)
+    assert {f.code for f in validate_kernel(region, g_off).failures} == walked
 
 
 @pytest.mark.parametrize("name", ["cap", "star4", "star1_feasible"])
@@ -473,12 +473,80 @@ def test_validate_kernel_detects_non_star_proposal():
                              kernel_point=anchor,
                              profile=RadialTableProfile(vals))
     shape = build_projected_star(body)
-    good = validate_kernel(shape, shape.kernel_on_sphere, seed=2)
+    good = validate_kernel(shape, shape.kernel_on_sphere)
     assert good.ok, good.failures
     off_lobe = geo.normalize(body.lift(np.array([0.3, 0.0]))[0])
-    bad = validate_kernel(shape, off_lobe, seed=2)
+    bad = validate_kernel(shape, off_lobe)
     assert not bad.ok
     assert any(f.code == "GeodesicEscapes" for f in bad.failures)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_validate_kernel_matches_walks_on_caps(dim):
+    # a great circle meets a cap's boundary circle at most twice, so once g is
+    # inside and -g outside no walk fails, at any half-angle
+    rng = np.random.default_rng(40 + dim)
+    walked = 0
+    for _ in range(15):
+        xi = 3.0 * (1.0 - rng.uniform())                    # (0, 3]
+        c = ConicCap(UnitPoint(geo.sample_uniform_many(dim, 1, rng)[0]), xi)
+        away = geo.project_to_tangent(c.axis, rng.normal(size=dim + 1)).vec
+        inside = geo.rotate_toward(c.axis, away / np.linalg.norm(away), rng.uniform(0.0, xi))
+        for g in (geo.sample_uniform_many(dim, 1, rng)[0], inside):
+            codes = {f.code for f in validate_kernel(c, g).failures}
+            if codes & {"NotInInterior", "AntipodeInside"}:
+                continue    # the walks were never the deciding check here
+            walked += 1
+            assert not codes and not walk_failures(c, g)
+    assert walked >= 12
+
+
+def test_validate_kernel_matches_walks_off_kernel(monkeypatch, star4, star1_feasible):
+    regions = star4.arrangement.sets + star1_feasible.arrangement.sets
+    # each region's own kernel image needs no crossing test
+    with monkeypatch.context() as m:
+        m.setattr(constraints, "crosses_once", None)
+        assert all(validate_kernel(r, r.kernel_on_sphere).ok for r in regions)
+    # interior points off the kernel image
+    rng = np.random.default_rng(7)
+    for region in regions:
+        for b in region.boundary_samples(2, rng):
+            for lam in (0.4, 0.8):
+                g = geo.slerp(region.kernel_on_sphere, geo.normalize(b), lam)
+                codes = {f.code for f in validate_kernel(region, g).failures}
+                assert codes == walk_failures(region, g), lam
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_validate_kernel_off_anchor_power_sum(k):
+    # a convex body is star-shaped about each interior point; a concave one
+    # only about its anchor, and the walks find that too
+    anchor = 3.0 * np.eye(k + 1)[k]
+    rng = np.random.default_rng(k)
+    for e, level, must_pass in ((2.0, 0.25, True), (0.5, 1.0, False)):
+        region = build_projected_star(power_sum_body(anchor, [e] * k, level))
+        for _ in range(10):
+            d = rng.normal(size=k)
+            d /= np.linalg.norm(d)
+            rho = (level / (np.abs(d) ** e).sum()) ** (1.0 / e)
+            g = geo.normalize(region.body.lift(rng.uniform(0.05, 0.9) * rho * d)[0])
+            codes = {f.code for f in validate_kernel(region, g).failures}
+            assert codes == (set() if must_pass else BOTH_WALKS)
+            assert bool(walk_failures(region, g)) != must_pass
+
+
+def test_validate_kernel_sees_spike_tips():
+    # 7.4% of the radius off the anchor of a concave body on S^3: the rays from
+    # p that leave the body and re-enter it aim at spike tips, which the chart
+    # vertices hold and a 4096-direction grid about the anchor misses
+    anchor = np.array([0.0, 0.0, 0.0, 3.0])
+    region = build_projected_star(power_sum_body(anchor, [0.5] * 3, 1.0))
+    d = np.array([-0.4909, 0.3465, -0.7993])
+    d /= np.linalg.norm(d)
+    rho = (1.0 / np.sqrt(np.abs(d)).sum()) ** 2
+    g = geo.normalize(region.body.lift(0.074 * rho * d)[0])
+    assert walk_failures(region, g)
+    assert {f.code for f in validate_kernel(region, g).failures} == BOTH_WALKS
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,8 @@ from sphere_nav.controllers import (
     StarControllerParams,
     StarPiecewiseController,
     alignment_descent_vector,
-    conic_control,
     conic_control_fd,
-    navigation_value,
     smoothstep,
-    star_control,
     suggest_kappa,
 )
 from sphere_nav.errors import (
@@ -70,25 +67,26 @@ def test_smoothstep_monotone_and_domain():
 
 def test_navigation_value_examples():
     arr, params = two_cap_setup()
-    assert navigation_value(XD, arr, params) == 0.0
+    ctrl = ConicGradientController(arr, params)
+    assert ctrl.navigation_value(XD) == 0.0
     # on the unsafe boundary the value saturates at k1
     g = arr.sets[0].axis.coords
     w = geo.tangent_basis(g)[:, 0]
     boundary = geo.rotate_toward(g, w, np.pi / 6)
-    assert abs(navigation_value(boundary, arr, params) - params.k1) <= 1e-9
+    assert abs(ctrl.navigation_value(boundary) - params.k1) <= 1e-9
     # far field with d_target = 1: W = k1/2
     x = np.array([0.0, 0.0, 0.0, 1.0])
     x = geo.rotate_toward(x, np.array([0.0, -0.8, -0.6, 0.0]), 0.4)  # keep clear
     x = geo.normalize(x).coords
     d = 1.0 - x @ XD
-    w_val = navigation_value(x, arr, params)
+    w_val = ctrl.navigation_value(x)
     assert abs(w_val - params.k1 * d / (d + 1.0)) <= 1e-12
 
 
 def test_navigation_value_rejects_interior():
     arr, params = two_cap_setup()
     with pytest.raises(InsideUnsafe):
-        navigation_value(arr.sets[0].axis.coords, arr, params)
+        ConicGradientController(arr, params).navigation_value(arr.sets[0].axis.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +95,14 @@ def test_navigation_value_rejects_interior():
 
 def test_conic_control_equilibrium_at_target():
     arr, params = two_cap_setup()
-    u = conic_control(XD, arr, params)
+    u = ConicGradientController(arr, params).control(XD)[0]
     assert np.linalg.norm(proj(XD, u)) <= 1e-15
     assert abs(np.linalg.norm(u) - params.k1) <= 1e-15  # k1/(1+0)^2 along x_d
 
 
 def test_conic_control_continuous_at_band_edge():
     arr, params = two_cap_setup()
+    ctrl = ConicGradientController(arr, params)
     g = arr.sets[0].axis.coords
     w = proj(g, XD)
     w /= np.linalg.norm(w)
@@ -111,12 +110,13 @@ def test_conic_control_continuous_at_band_edge():
     for side in (-1e-7, 1e-7):
         a = geo.rotate_toward(g, w, edge_angle + side)
         b = geo.rotate_toward(g, w, edge_angle - side)
-        du = conic_control(a, arr, params) - conic_control(b, arr, params)
+        du = ctrl.control(a)[0] - ctrl.control(b)[0]
         assert np.linalg.norm(du) <= 1e-4
 
 
 def test_conic_control_points_away_from_cap_near_boundary():
     arr, params = two_cap_setup()
+    ctrl = ConicGradientController(arr, params)
     g = arr.sets[0].axis.coords
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -124,7 +124,7 @@ def test_conic_control_points_away_from_cap_near_boundary():
         w = proj(g, w)
         w /= np.linalg.norm(w)
         x = geo.rotate_toward(g, w, np.pi / 6 + 1e-4)
-        u = conic_control(x, arr, params)
+        u = ctrl.control(x)[0]
         assert proj(x, u) @ proj(x, -g) > 0.0
 
 
@@ -177,25 +177,27 @@ def test_star_control_examples():
     arr, _ = two_cap_setup()
     params = StarControllerParams(k1=1.0, kappa=1.0, epsilon=0.015,
                                   x_d=UnitPoint(XD))
+    ctrl = StarPiecewiseController(arr, params)
     g = arr.sets[0].axis.coords
     w = geo.tangent_basis(g)[:, 0]
     # on the region boundary: pure repulsion -(k1/kappa) g
     x = geo.rotate_toward(g, w, np.pi / 6)
-    assert np.allclose(star_control(x, arr, params), -g, atol=1e-9)
+    assert np.allclose(ctrl.control(x)[0], -g, atol=1e-9)
     # mid band: equal blend of target pull and kernel push
     mid = geo.rotate_toward(g, w, np.pi / 6 +
                             geo.angle_from_distance(params.epsilon / 2))
-    assert np.allclose(star_control(mid, arr, params), 0.5 * XD - 0.5 * g,
+    assert np.allclose(ctrl.control(mid)[0], 0.5 * XD - 0.5 * g,
                        atol=1e-9)
     # far field: k1 x_d
     far = np.array([0.0, 0.0, 0.0, 1.0])
-    assert np.allclose(star_control(far, arr, params), XD)
+    assert np.allclose(ctrl.control(far)[0], XD)
 
 
 def test_star_control_continuity_at_band_edge():
     arr, _ = two_cap_setup()
     params = StarControllerParams(k1=1.3, kappa=0.7, epsilon=0.02,
                                   x_d=UnitPoint(XD))
+    ctrl = StarPiecewiseController(arr, params)
     g = arr.sets[0].axis.coords
     rng = np.random.default_rng(5)
     edge_angle = np.pi / 6 + geo.angle_from_distance(params.epsilon)
@@ -204,7 +206,7 @@ def test_star_control_continuity_at_band_edge():
         w /= np.linalg.norm(w)
         a = geo.rotate_toward(g, w, edge_angle + 1e-6)
         b = geo.rotate_toward(g, w, edge_angle - 1e-6)
-        du = star_control(a, arr, params) - star_control(b, arr, params)
+        du = ctrl.control(a)[0] - ctrl.control(b)[0]
         assert np.linalg.norm(du) <= 1e-4
 
 
@@ -235,7 +237,7 @@ def test_star_law_inside_unsafe_raises():
     params = StarControllerParams(k1=1.0, kappa=1.0, epsilon=0.015,
                                   x_d=UnitPoint(XD))
     with pytest.raises(InsideUnsafe):
-        star_control(arr.sets[0].axis.coords, arr, params)
+        StarPiecewiseController(arr, params).control(arr.sets[0].axis.coords)
 
 
 # ---------------------------------------------------------------------------
