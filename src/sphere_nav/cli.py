@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from .errors import InvariantViolation, ScenarioParseError, SphereNavError
 from .scenario import (
+    SHADOW_SAMPLES,
     diagnose_scenario,
     parse_scenario,
     run_scenario,
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check every configuration assumption")
     v.add_argument("scenario")
-    v.add_argument("--samples", type=int, default=20_000,
+    v.add_argument("--samples", type=int, default=SHADOW_SAMPLES,
                    help="Monte-Carlo budget for region disjointness")
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_validate)

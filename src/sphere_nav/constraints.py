@@ -26,20 +26,23 @@ table's segments.  A query takes the best chart vertex as its incumbent,
 keeps the cells whose cap bound beats it, then those whose second-order
 facet bound still does, and solves locally only there; a caller that needs
 the margin only where it is within some width gets a bound, and no solve,
-where every bound is farther.  Every query is a pure function of x.  Star
-regions exist on S^2 and S^3; a build refuses a body whose hyperplane passes
-within 1e-6 of the origin and, where a radius is solved along rays, checks
-that each ray from the kernel crosses the body boundary once; the kernel
-check runs the same crossing test (`crosses_once`) from any other proposed
-kernel point.  An arrangement reads each region's ``bounding`` cap and its
-cell caps once.
+where every bound is farther.  Every query is a pure function of x.  A star
+region's membership asks the body: the point where the ray through x meets
+the body hyperplane, moved radially about the kernel by the closure slack,
+goes to the profile's own test.  Star regions exist on S^2 and S^3; a build
+refuses a body whose hyperplane passes within 1e-6 of the origin and, unless
+the body is star-shaped about its kernel by symmetry or by construction,
+checks that each ray from the kernel crosses the body boundary once; the
+kernel check runs the same crossing test (`crosses_once`) from any other
+proposed kernel point.  An arrangement reads each region's ``bounding`` cap
+and its cell caps once, and answers the smallest signed margin over its
+regions (`union_margin`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -151,9 +154,10 @@ class ConicCap:
 class PowerSumProfile:
     """Sublevel body sum_i |s_i|^e_i <= level in hyperplane coordinates s.
 
-    Coordinates are taken about the body anchor; the radius about the kernel
-    point is solved along rays (closed form when the kernel sits at the
-    anchor and all exponents agree, checked bisection otherwise).
+    Coordinates are taken about the body anchor.  Membership is the sublevel
+    test alone, for any kernel.  The body is star-shaped about the anchor
+    when all exponents agree; about any other kernel `certify` runs the
+    crossing test, whose boundary points are bisected along rays (`radii`).
     """
 
     def __init__(self, exponents, level: float):
@@ -163,8 +167,6 @@ class PowerSumProfile:
         if not (0 < self.level < np.inf and np.all((0 < e) & (e < np.inf))):
             raise DomainError("power-sum profile needs positive exponents and level, "
                               "all finite")
-        self._equal_e = float(self.exponents[0]) if np.all(
-            self.exponents == self.exponents[0]) else None
 
     def implicit(self, s: np.ndarray) -> np.ndarray:
         s = np.atleast_2d(s)
@@ -174,20 +176,21 @@ class PowerSumProfile:
         """Rows of body coordinates s -> in the body; the kernel plays no part."""
         return self.implicit(s) <= 0.0
 
-    def radius_fn(self, kernel_s: np.ndarray):
-        """Direction rows -> boundary radius about kernel_s, dispatched once."""
+    def radii(self, kernel_s: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Boundary radius about kernel_s along direction rows, by bisection;
+        only the crossing test places boundary points with it."""
+        return _radial_bisection(self.implicit, kernel_s, dirs)
+
+    def certify(self, kernel_s: np.ndarray):
+        """Raise unless each ray from kernel_s crosses the boundary once."""
         if self.exponents.size != kernel_s.size:
             raise DomainError("power-sum profile needs one exponent per body coordinate")
-        # module-level functions under partial, so regions pickle to workers
-        if self._equal_e is not None and float(kernel_s @ kernel_s) < 1e-28:
-            return partial(_power_sum_radius, self._equal_e, 1.0 / self._equal_e,
-                           self.level)
-        radius = partial(_radial_bisection, self.implicit, kernel_s)
-        if not crosses_once(partial(self.contains, kernel_s=kernel_s), kernel_s, kernel_s,
-                            radius, self.chart(kernel_s)):
+        # t^e scales every term alike: star-shaped about the anchor
+        if np.all(self.exponents == self.exponents[0]) and float(kernel_s @ kernel_s) < 1e-28:
+            return
+        if not crosses_once(self, kernel_s, kernel_s, self.chart(kernel_s)):
             raise NotStarShaped("a ray from the kernel does not cross the body "
                                 "boundary exactly once")
-        return radius
 
     def chart(self, kernel_s: np.ndarray) -> PowerSumChart:
         """The simplex chart of the boundary; it is taken about the anchor."""
@@ -208,20 +211,21 @@ class RadialTableProfile:
         if not np.all((0 < self.values) & (self.values < np.inf)):
             raise DomainError("radial table values must be positive and finite")
 
-    def radius_fn(self, kernel_s: np.ndarray):
-        """Direction rows -> tabulated radius; the table is already about the kernel."""
+    def certify(self, kernel_s: np.ndarray):
+        """A table gives one radius a direction about the kernel: star-shaped
+        by construction, once the body is planar."""
         if kernel_s.size != 2:
             raise DomainError("radial-table profiles are planar (k = 2)")
-        return self._radius
 
     def contains(self, s: np.ndarray, kernel_s: np.ndarray) -> np.ndarray:
         """Rows of body coordinates s -> in the body, whose radius the table
         gives about the kernel."""
         rel = s - kernel_s
         r = np.linalg.norm(rel, axis=1)
-        return r <= self._radius(rel / np.maximum(r, 1e-300)[:, None])
+        return r <= self.radii(kernel_s, rel / np.maximum(r, 1e-300)[:, None])
 
-    def _radius(self, dirs: np.ndarray) -> np.ndarray:
+    def radii(self, kernel_s: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Tabulated radius along direction rows; the table is about the kernel."""
         phi = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
         m = self.values.size
         pos = phi * m / (2.0 * np.pi)
@@ -232,13 +236,6 @@ class RadialTableProfile:
     def chart(self, kernel_s: np.ndarray) -> RadialTableChart:
         """The segment chart of the boundary; the table is about the kernel."""
         return RadialTableChart(self.values, kernel_s)
-
-
-def _power_sum_radius(e: float, inv_e: float, level: float,
-                      dirs: np.ndarray) -> np.ndarray:
-    """Closed-form radius of sum_i |s_i|^e <= level about its centre."""
-    pw = np.maximum((np.abs(dirs) ** e).sum(axis=1), 1e-300)
-    return (level / pw) ** inv_e
 
 
 def _radial_bisection(implicit, kernel_s: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -290,8 +287,7 @@ class EuclideanStarBody:
         if np.linalg.norm(off - self.basis @ (self.basis.T @ off)) > 1e-9:
             raise DomainError("kernel point must lie in the body hyperplane")
         self.kernel_s = self.basis.T @ off
-        # direction rows -> boundary radius about the kernel
-        self.radius = self.profile.radius_fn(self.kernel_s)
+        self.profile.certify(self.kernel_s)
 
     @property
     def k(self) -> int:
@@ -317,20 +313,20 @@ def complete_basis(normal: np.ndarray) -> np.ndarray:
     return geo.tangent_basis(n / np.linalg.norm(n))
 
 
-def crosses_once(inside, center: np.ndarray, kernel_s: np.ndarray, radius, chart) -> bool:
-    """Does each ray from `center` cross the boundary of a body once?
+def crosses_once(profile, center: np.ndarray, kernel_s: np.ndarray, chart) -> bool:
+    """Does each ray from `center` cross the boundary of a profile's body once?
 
-    The body has boundary radius `radius` along direction rows from
-    `kernel_s`, its chart's vertices lie on its boundary and the corners of
-    its chart cells bound its reach; `inside` maps rows of body coordinates
-    to booleans.  The rays run through the boundary points on a grid of
-    directions from the kernel and through the chart vertices, which hold a
-    spiky body's tips.  On each, the points before its boundary point must be
-    inside and those past it, out to the reach, outside; the boundary point
-    itself is not tested.
+    The vertices of the profile's chart lie on the boundary and the corners
+    of its cells bound its reach.  The rays run through the boundary points,
+    placed with the profile's `radii`, on a grid of directions from the
+    kernel and through the chart vertices, which hold a spiky body's tips.
+    On each, the points before its boundary point must be inside and those
+    past it, out to the reach, outside; the boundary point itself is not
+    tested.
     """
     dirs = _direction_grid(kernel_s.size, CROSSING_DIRS)
-    rel = np.vstack([kernel_s + radius(dirs)[:, None] * dirs, chart.vertices()]) - center
+    rel = np.vstack([kernel_s + profile.radii(kernel_s, dirs)[:, None] * dirs,
+                     chart.vertices()]) - center
     reach = float(np.linalg.norm(chart.corners() - center, axis=-1).max())
     lam = np.arange(CROSSING_POINTS) / CROSSING_POINTS   # [0, 1)
     # blocks of rays keep the point tables near 2 MB
@@ -341,7 +337,7 @@ def crosses_once(inside, center: np.ndarray, kernel_s: np.ndarray, radius, chart
 
         def on_rays(r: np.ndarray) -> np.ndarray:
             pts = (center + r[:, :, None] * unit[:, None, :]).reshape(-1, center.size)
-            return inside(pts).reshape(r.shape)
+            return profile.contains(pts, kernel_s).reshape(r.shape)
 
         if not on_rays(lam * rho).all() or \
                 (on_rays(past) & (past > rho + 1e-9 * (1.0 + reach))).any():
@@ -383,7 +379,7 @@ class ProjectedStarShape:
         self._anchor = body.anchor
         self._basisT = np.ascontiguousarray(body.basis.T)
         self._kernel_s = body.kernel_s
-        self._rho = body.radius
+        self._profile = body.profile
         self._axis0 = np.eye(body.k)[0]
         self._a = self._basisT @ body.anchor
         self._h2 = float(body.anchor @ body.anchor - self._a @ self._a)
@@ -462,49 +458,52 @@ class ProjectedStarShape:
                                  - self._facet_eta[cells], 0.0)).max(axis=1)
 
     # -- membership ---------------------------------------------------------
+    # The body decides.  tol is a spherical-distance closure, whose radial
+    # slack at the hit point s is the angular slack times the lever |P(s)|;
+    # s moves radially about the kernel by it and the profile tests the
+    # result, which for a body star-shaped about its kernel is r - rho <= slack.
 
-    def _radial_excess(self, x: np.ndarray):
-        """(r - rho, hit norm) for the ray {t x, t > 0} through x, or None when
-        it misses the body hyperplane; it hits at s = t basis^T x - a, with
-        |P(s)|^2 = h2 + |a + s|^2."""
+    def _moved_hit_inside(self, x: np.ndarray, lever: float) -> bool:
+        """Is the hit point s = t basis^T x - a of the ray {t x, t > 0} in the
+        body once moved away from the kernel by lever |P(s)| + 1e-12 (toward it,
+        not past it, for a negative lever; off the kernel along the first
+        axis)?  No where the ray misses the hyperplane; |P(s)|^2 = h2 + |a + s|^2."""
         denom = float(x @ self._normal)
         if abs(denom) < 1e-15:
-            return None
+            return False
         t = self._offset / denom
         if t <= 0.0:
-            return None
+            return False
         bx = self._basisT @ x
         rel = t * bx - self._a - self._kernel_s
         r = math.sqrt(rel @ rel)
+        moved = r + lever * math.sqrt(self._h2 + t * t * (bx @ bx)) + math.copysign(1e-12, lever)
         if r < 1e-15:
-            return -float(self._rho(self._axis0[None, :])[0]), 1.0
-        rho = float(self._rho(rel[None, :] / r)[0])
-        return r - rho, math.sqrt(self._h2 + t * t * (bx @ bx))
+            rel, r = self._axis0, 1.0
+        s = self._kernel_s + (max(moved, 0.0) / r) * rel
+        return bool(self._profile.contains(s[None, :], self._kernel_s)[0])
 
-    def contains(self, x, tol: float = BOUNDARY_CLOSURE_TOL) -> bool:
-        out = self._radial_excess(coords_of(x))
-        if out is None:
-            return False
-        excess, hit_norm = out
-        # tol is a spherical-distance closure; the matching radial slack at
-        # the hit point scales with the angular slack times the lever arm
-        return excess <= np.sqrt(max(2.0 * tol, 0.0)) * hit_norm * 4.0 + 1e-12
-
-    def _radial_excess_many(self, pts: np.ndarray):
-        """Row version of `_radial_excess`: (ray hits, r, rho, hit norm)."""
+    def _moved_hits_inside(self, pts: np.ndarray, lever: float) -> np.ndarray:
+        """Row version of `_moved_hit_inside`."""
         denom = pts @ self._normal
         ok = np.abs(denom) >= 1e-15
         t = np.where(ok, self._offset / np.where(ok, denom, 1.0), -1.0)
         ok &= t > 0.0
         hits = t[:, None] * pts
-        s = (hits - self._anchor) @ self._basisT.T
-        rel = s - self._kernel_s
+        rel = (hits - self._anchor) @ self._basisT.T - self._kernel_s
         r = np.sqrt((rel * rel).sum(axis=1))
-        # a ray through the kernel itself takes the first axis direction
+        moved = np.maximum(r + lever * np.sqrt((hits * hits).sum(axis=1))
+                           + math.copysign(1e-12, lever), 0.0)
         away = r > 1e-15
-        dirs = np.where(away[:, None], rel / np.where(away, r, 1.0)[:, None],
-                        self._axis0)
-        return ok, r, self._rho(dirs), np.sqrt((hits * hits).sum(axis=1))
+        dirs = np.where(away[:, None], rel / np.where(away, r, 1.0)[:, None], self._axis0)
+        return ok & self._profile.contains(self._kernel_s + moved[:, None] * dirs,
+                                           self._kernel_s)
+
+    def contains(self, x, tol: float = BOUNDARY_CLOSURE_TOL) -> bool:
+        return self._moved_hit_inside(coords_of(x), -4.0 * math.sqrt(max(2.0 * tol, 0.0)))
+
+    def contains_interior(self, x, tol: float = INTERIOR_TOL) -> bool:
+        return self._moved_hit_inside(coords_of(x), math.sqrt(max(2.0 * tol, 0.0)))
 
     def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
         """1 - the best chart-vertex dot for rows of pts (zero where contained);
@@ -514,17 +513,8 @@ class ProjectedStarShape:
         for a in range(0, pts.shape[0], 64):
             best[a:a + 64] = (pts[a:a + 64] @ self._vertices.T).max(axis=1)
         d = 1.0 - best
-        # `contains`, row by row
-        ok, r, rho, hit_norm = self._radial_excess_many(pts)
-        d[ok & (r <= rho + (np.sqrt(2.0 * BOUNDARY_CLOSURE_TOL) * hit_norm * 4.0 + 1e-12))] = 0.0
+        d[self._moved_hits_inside(pts, -4.0 * math.sqrt(2.0 * BOUNDARY_CLOSURE_TOL))] = 0.0
         return d
-
-    def contains_interior(self, x, tol: float = INTERIOR_TOL) -> bool:
-        out = self._radial_excess(coords_of(x))
-        if out is None:
-            return False
-        excess, hit_norm = out
-        return excess < -(np.sqrt(max(2.0 * tol, 0.0)) * hit_norm + 1e-12)
 
     # -- boundary-dot maximization (distance queries) ------------------------
 
@@ -605,14 +595,12 @@ class ProjectedStarShape:
         geodesic arcs, so it is exactly when the body is star-shaped about p,
         where the ray through g meets the hyperplane.  About its own kernel
         image the build certified that, or it holds analytically; about any
-        other g it takes the crossing test from p, on the membership of the
-        body (the region's, without a radius solve per point).
+        other g it takes the crossing test from p, on the body's membership.
         """
         if np.array_equal(g, self.kernel_on_sphere.coords):
             return True
         p = self._offset / float(g @ self._normal) * (self._basisT @ g) - self._a
-        return crosses_once(partial(self.body.profile.contains, kernel_s=self._kernel_s), p,
-                            self._kernel_s, self._rho, self.chart)
+        return crosses_once(self._profile, p, self._kernel_s, self.chart)
 
 
 def build_projected_star(body: EuclideanStarBody) -> ProjectedStarShape:
@@ -682,13 +670,23 @@ class ConstraintArrangement:
     def dimension(self) -> int:
         return self.kernels[0].n
 
-    def distances(self, x) -> np.ndarray:
-        xc = coords_of(x)
-        return np.array([s.distance(xc) for s in self.sets])
-
     def signed_margins(self, x) -> np.ndarray:
         xc = coords_of(x)
         return np.array([s.signed_margin(xc) for s in self.sets])
+
+    def union_margin(self, x) -> float:
+        """The smallest signed margin, signed_margins(x).min() while at most one
+        region holds x.  Regions are queried in the order of max(bound_margins,
+        0), a lower bound on each margin that is not negative, until it
+        reaches the best margin found."""
+        xc = coords_of(x)
+        lower = np.maximum(self.bound_margins(xc), 0.0)
+        best = np.inf
+        for i in np.argsort(lower, kind="stable").tolist():
+            if lower[i] >= best:
+                break
+            best = min(best, self.sets[i].distance_warm(xc, None)[0])
+        return float(best)
 
     def bound_margins(self, x: np.ndarray) -> np.ndarray:
         """sign(g)(1 - cos g) per region, g = angle(x, bound_centers) - bound_reaches.
@@ -764,10 +762,9 @@ def phi(delta: float) -> float:
 
 def suggest_epsilon(arr: ConstraintArrangement, x_d, seed: int = 0) -> float:
     """0.9 * min(phi(delta_measured), d_s(x_d, U)); requires x_d strictly safe."""
-    margins = arr.signed_margins(x_d)
-    if float(margins.min()) <= 0.0:
+    eps_bar = arr.union_margin(x_d)
+    if eps_bar <= 0.0:
         raise TargetInsideUnsafe("target point is not strictly outside the unsafe union")
-    eps_bar = float(margins.min())
     delta = arr.delta_measured(seed=seed)
     bound = eps_bar
     if np.isfinite(delta):
@@ -975,8 +972,7 @@ class DisjointnessReport:
 
 
 def validate_region_disjointness(arr: ConstraintArrangement, x_d, eps: float,
-                                 samples: int = 200_000,
-                                 seed: int = 0) -> DisjointnessReport:
+                                 samples: int, seed: int = 0) -> DisjointnessReport:
     """Monte-Carlo check that the per-constraint shadow regions never overlap."""
     if len(arr.sets) < 2:
         return DisjointnessReport(True, None, 0, 0)

@@ -18,10 +18,15 @@ in the far field) from one band search, and is a pure function of (state,
 arrangement, parameters).  The conic law reads its margins from the
 arrangement's bounding caps (`bound_margins`, exact for caps).  The star law
 queries a region's refined distance only where the arrangement's
-`kept_regions` keeps the state for it or the region contains it.  Both
-laws evaluate on ambient points near (not exactly on) the sphere so that
-central finite differences of W are well defined; the analytic conic law is
-the exact gradient of that ambient extension, which the FD oracle checks.
+`kept_regions` keeps the state for it or the region contains it.  Each
+law's `signed_union_margin(x)` is the smallest signed margin over the
+regions, which `simulate.integrate` logs and checks at every logged row: the
+conic law reads it from the bounding caps, the star law from the
+arrangement's `union_margin`, which the parser, the validator and the
+diagnostics read as well.  Both laws evaluate on ambient points near (not
+exactly on) the sphere so that central finite differences of W are well
+defined; the analytic conic law is the exact gradient of that ambient
+extension, which the FD oracle checks.
 
 Away from every band both laws steer the state along the geodesic to x_d at
 a speed that depends only on theta = angle(x, x_d): the conic law gives
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .constraints import ConicCap, ConstraintArrangement
+from .constraints import BAND_SLACK, ConicCap, ConstraintArrangement
 from .errors import (
     DomainError,
     InsideUnsafe,
@@ -223,16 +228,8 @@ class StarPiecewiseController:
         return v / k1, 1.0 / k1
 
     def signed_union_margin(self, x) -> float:
-        """Smallest signed margin over the regions."""
-        xc = coords_of(x)
-        # regions by their lower bound; once it reaches the best margin, stop
-        lower = np.maximum(self.arr.bound_margins(xc), 0.0)
-        best = np.inf
-        for i in np.argsort(lower, kind="stable").tolist():
-            if lower[i] >= best:
-                break
-            best = min(best, self.arr.sets[i].distance_warm(xc, None)[0])
-        return float(best)
+        """Smallest signed margin over the regions (`union_margin`)."""
+        return self.arr.union_margin(x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +292,10 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSugge
     """
     xd = UnitPoint(coords_of(x_d))
     lams = np.linspace(0.0, 1.0, KAPPA_ARC_GRID + 1)
+    # a cell cap lies in its region's bounding cap: only points in that cap,
+    # dilated like the band screen (+1e-6 over arccos rounding), can be kept
+    reach = arr.bound_reaches + math.acos(max(1.0 - epsilon - BAND_SLACK, -1.0)) + 1e-6
+    cos_near = np.where(reach < np.pi, np.cos(reach), -np.inf)
     per: list[KappaPerSet] = []
     for i, s in enumerate(arr.sets):
         g = arr.kernels[i]
@@ -304,7 +305,8 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSugge
         # refine exactly the arc points the band screen keeps for region i;
         # it drops only points farther than eps from the boundary
         d = np.full(len(pts), np.inf)
-        for j in np.flatnonzero(arr.kept_regions(pts, epsilon)[:, i]):
+        near = np.flatnonzero(pts @ arr.bound_centers[i] >= cos_near[i])
+        for j in near[arr.kept_regions(pts[near], epsilon)[:, i]]:
             d[j] = s.distance(pts[j])
         mask = d <= epsilon
         if not mask.any():

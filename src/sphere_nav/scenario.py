@@ -80,6 +80,7 @@ from .simulate import (
 
 SEED_ENV_VAR = "SPHERE_NAV_SEED"
 FD_STEP = 1e-5         # finite-difference step of diagnose_scenario's Jacobians
+SHADOW_SAMPLES = 20_000  # Monte-Carlo samples of the shadow-disjointness check
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,6 @@ class Scenario:
     explicit_ics: list
     ic_count: int
     seed: int
-    path: str | None = None
 
     def resolved_epsilon(self) -> float:
         if self.epsilon == "auto":
@@ -319,8 +319,7 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     arrangement = ConstraintArrangement(sets, kernels, delta_declared=delta) if sets else None
 
     if target is not None and sets:
-        margins = arrangement.signed_margins(target)
-        if float(margins.min()) <= 0.0:
+        if arrangement.union_margin(target) <= 0.0:
             violations.append("target lies inside (or on) the unsafe union")
         if law == "star-piecewise":
             # the star law steers toward kernel antipodes; those reference
@@ -338,7 +337,7 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
         v = _unit_or_violation(row, f"initial_conditions.explicit[{j}]", dim,
                                violations)
         if v is not None and sets:
-            if float(arrangement.signed_margins(v).min()) < 0.0:
+            if arrangement.union_margin(v) < 0.0:
                 violations.append(
                     f"initial_conditions.explicit[{j}] starts inside the unsafe union")
         if v is not None:
@@ -355,7 +354,7 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
     return Scenario(name=name, dimension=dim, target=UnitPoint(target),
                     arrangement=arrangement, law=law, k1=k1, kappa=kappa,
                     epsilon=epsilon, sim=sim, explicit_ics=explicit,
-                    ic_count=ic_count, seed=seed, path=path)
+                    ic_count=ic_count, seed=seed)
 
 
 def effective_seed(sc: Scenario, override: int | None = None) -> int:
@@ -381,7 +380,7 @@ def draw_initial_conditions(sc: Scenario, seed: int) -> list[np.ndarray]:
     while needed > 0:
         batch = geo.sample_uniform_many(sc.dimension, max(4 * needed, 16), rng)
         for row in batch:
-            if float(sc.arrangement.signed_margins(row).min()) >= 0.0:
+            if sc.arrangement.union_margin(row) >= 0.0:
                 ics.append(row)
                 needed -= 1
                 if needed == 0:
@@ -423,7 +422,7 @@ class ValidationReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def validate_scenario(sc: Scenario, samples: int = 20_000,
+def validate_scenario(sc: Scenario, samples: int = SHADOW_SAMPLES,
                       seed: int = 0) -> ValidationReport:
     """Run every configuration check and collect failures.
 
@@ -444,7 +443,7 @@ def validate_scenario(sc: Scenario, samples: int = 20_000,
         failures.append(
             f"measured separation {delta:.6g} is below the declared {arr.delta_declared}")
 
-    eps_bar = float(arr.distances(sc.target).min())
+    eps_bar = arr.union_margin(sc.target)
     epsilon = sc.resolved_epsilon()
     try:
         eps_suggested = suggest_epsilon(arr, sc.target, seed=seed)
@@ -678,7 +677,7 @@ def diagnose_scenario(sc: Scenario, points: list | None = None,
     if equilibria:
         queries.append(("target", controller.x_d.copy()))
         anti = -controller.x_d
-        if float(controller.arr.distances(anti).min()) >= eps:
+        if controller.arr.union_margin(anti) >= eps:
             queries.append(("antipode", anti))
     queries += [(f"point{j}", x) for j, x in enumerate(user_points)]
 

@@ -394,7 +394,7 @@ def jacobian_fd(x, controller: Controller, step: float = 1e-5) -> JacobianSpectr
     the tangent subspace at x.
     """
     xc = coords_of(x).astype(float)
-    d = controller.arr.distances(xc)
+    d = np.maximum(controller.arr.signed_margins(xc), 0.0)
     eps = controller.params.epsilon
     guard = 10.0 * step
     if np.any(np.abs(d - eps) < guard) or np.any(d < guard):

@@ -219,7 +219,7 @@ def test_body_not_star_shaped_about_its_kernel_rejected():
     with pytest.raises(NotStarShaped):
         power_sum_body(anchor, [0.4, 0.4, 0.4], 1.0,
                        kernel=anchor + 0.05 * complete_basis(anchor)[:, 0])
-    # star-shaped bodies whose radius is solved along rays still build
+    # star-shaped bodies that the crossing test checks still build
     for body in (power_sum_body([0.0, -2.0, 0.0], [2.0, 2.0], 0.25,
                                 kernel=[0.05, -2.0, 0.0]),
                  power_sum_body([0.0, -2.0, 0.0], [0.4, 1.5], 0.5),
@@ -240,9 +240,103 @@ def test_bounding_reach_covers_the_region():
         # a dense boundary from the body's own radius, not from the chart
         phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         dirs = np.column_stack([np.cos(phi), np.sin(phi)])
-        amb = body.lift(body.kernel_s + body.radius(dirs)[:, None] * dirs)
+        radii = body.profile.radii(body.kernel_s, dirs)
+        amb = body.lift(body.kernel_s + radii[:, None] * dirs)
         angles = np.arccos(np.clip(amb @ center / np.linalg.norm(amb, axis=1), -1.0, 1.0))
         assert angles.max() <= reach
+
+
+def off_anchor_bodies():
+    """Power-sum bodies with mixed exponents whose kernel is off the anchor,
+    on S^2 and S^3: the profile has no closed-form radius about the kernel."""
+    a3 = np.array([0.0, 0.0, 0.0, 2.0])
+    b3 = complete_basis(a3)
+    a2 = np.array([0.0, -2.0, 0.0])
+    b2 = complete_basis(a2)
+    return [power_sum_body(a2, [1.5, 3.0], 0.5, kernel=a2 + b2 @ [0.1, -0.05]),
+            power_sum_body(a3, [2.0, 3.0, 4.0], 0.5, kernel=a3 + b3 @ [0.1, -0.05, 0.08])]
+
+
+def bisected_radius(body, d):
+    """The boundary radius about the kernel along unit direction d, bisected."""
+    lo, hi = 0.0, 1e-3
+    while body.profile.implicit(body.kernel_s + hi * d)[0] <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if body.profile.implicit(body.kernel_s + mid * d)[0] <= 0.0 \
+            else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def radial_rule(body, x, tol, outward):
+    """The radial membership rule on a bisected radius rho: the ray through x
+    hits the body hyperplane at s, r = |s - kernel|, and the closure slack is
+    sqrt(2 tol) |P(s)| (times 4 inward) + 1e-12.  Inward, x is contained when
+    r - rho <= slack; outward, interior when r - rho < -slack."""
+    n = body.normal
+    denom = float(x @ n)
+    if abs(denom) < 1e-15 or float(n @ body.anchor) / denom <= 0.0:
+        return False
+    hit = float(n @ body.anchor) / denom * x
+    rel = body.basis.T @ (hit - body.anchor) - body.kernel_s
+    r = float(np.linalg.norm(rel))
+    d = rel / r if r > 1e-15 else np.eye(body.k)[0]
+    slack = np.sqrt(2.0 * tol) * np.linalg.norm(hit) * (1.0 if outward else 4.0) + 1e-12
+    excess = (r if r > 1e-15 else 0.0) - bisected_radius(body, d)
+    return excess < -slack if outward else excess <= slack
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_membership_asks_the_body_like_the_radial_rule(k):
+    body = off_anchor_bodies()[k - 2]
+    region = build_projected_star(body)
+    rng = np.random.default_rng(60 + k)
+    g = region.kernel_on_sphere.coords
+    pts = [*geo.sample_uniform_many(k, 60, rng), g]
+    near = []
+    # states radially just inside and just outside each closure
+    for _ in range(40):
+        d = rng.normal(size=k)
+        d /= np.linalg.norm(d)
+        rho = bisected_radius(body, d)
+        lever = np.linalg.norm(body.lift(body.kernel_s + rho * d)[0])
+        for slack in (4.0 * np.sqrt(2.0 * constraints.BOUNDARY_CLOSURE_TOL) * lever,
+                      -np.sqrt(2.0 * constraints.INTERIOR_TOL) * lever):
+            for f in (0.99, 1.01):
+                p = body.lift(body.kernel_s + (rho + f * slack) * d)[0]
+                near.append(p / np.linalg.norm(p))
+    pts = np.array(pts + near)
+    contains = [radial_rule(body, x, constraints.BOUNDARY_CLOSURE_TOL, False) for x in pts]
+    interior = [radial_rule(body, x, constraints.INTERIOR_TOL, True) for x in pts]
+    assert [region.contains(x) for x in pts] == contains
+    assert [region.contains_interior(x) for x in pts] == interior
+    assert np.array_equal(region.distances_coarse(pts) == 0.0, contains)
+    # the near states straddle both closures, and the kernel is interior
+    near_in = np.reshape(contains[61:], (40, 2, 2))
+    assert near_in[:, 0, 0].all() and not near_in[:, 0, 1].any()
+    near_int = np.reshape(interior[61:], (40, 2, 2))
+    assert near_int[:, 1, 1].all() and not near_int[:, 1, 0].any()
+    assert contains[60] and interior[60]
+
+
+def test_region_queries_solve_no_radius(monkeypatch):
+    def no_radius(*args):
+        raise AssertionError("a region query solved a radius")
+
+    for body in off_anchor_bodies():
+        region = build_projected_star(body)
+        g = region.kernel_on_sphere.coords
+        rng = np.random.default_rng(4)
+        pts = np.vstack([geo.sample_uniform_many(body.k, 40, rng), g,
+                         [geo.slerp(g, b, 0.5).coords for b in region.boundary_samples(10, rng)]])
+        with monkeypatch.context() as m:
+            m.setattr(constraints, "_radial_bisection", no_radius)
+            assert any(region.contains(x) for x in pts)
+            for x in pts:
+                region.distance_warm(x, None)
+                region.distance_warm(x, 0.01)
+            region.distances_coarse(pts)
 
 
 def test_projected_chords_land_on_geodesics():
@@ -590,7 +684,15 @@ def test_suggest_epsilon_seven_cones(cones7):
     eps = suggest_epsilon(arr, xd)
     assert eps <= 0.9 * phi(1.0) + 1e-12          # 0.2636 consistency bound
     delta = arr.delta_measured()
-    assert 0.015 < min(phi(delta), float(arr.distances(xd).min()))
+    assert 0.015 < min(phi(delta), arr.union_margin(xd))
+
+
+@pytest.mark.parametrize("name", ["cones7", "star4", "star1", "star1_feasible"])
+def test_union_margin_is_the_smallest_signed_margin(request, name):
+    arr = request.getfixturevalue(name).arrangement
+    pts = geo.sample_uniform_many(arr.dimension, 200, np.random.default_rng(8))
+    for x in pts:
+        assert arr.union_margin(x) == arr.signed_margins(x).min()
 
 
 def test_suggest_epsilon_target_inside():

@@ -18,6 +18,7 @@ from sphere_nav.controllers import (
 from sphere_nav.errors import (
     DomainError,
     InsideUnsafe,
+    KernelAntipodalToTarget,
     TooCloseToBoundary,
 )
 from sphere_nav.geometry import UnitPoint
@@ -299,3 +300,23 @@ def test_suggest_kappa_consistent_with_unit_gain(star4):
     ks = suggest_kappa(star4.arrangement, star4.target,
                        star4.resolved_epsilon())
     assert ks.recommended <= 1.0  # the bundled run uses kappa = 1
+
+
+@pytest.mark.parametrize("name", ["star4", "star1"])
+def test_suggest_kappa_bounding_screen_drops_no_kept_point(name, request, monkeypatch):
+    # a bounding reach of pi screens nothing: the same suggestion from every point
+    sc = request.getfixturevalue(name)
+    arr = sc.arrangement
+    rng = np.random.default_rng(5)
+    targets = [sc.target.coords] + list(geo.sample_uniform_many(sc.dimension, 3, rng))
+    cases = []
+    for xd in targets:
+        for eps in (0.02, 0.3):
+            try:
+                cases.append(((xd, eps), suggest_kappa(arr, xd, eps)))
+            except KernelAntipodalToTarget:
+                pass
+    assert any(np.isfinite(p.mu1) for _, ks in cases for p in ks.per_set)
+    monkeypatch.setattr(arr, "bound_reaches", np.full(len(arr), np.pi))
+    for (xd, eps), ks in cases:
+        assert repr(suggest_kappa(arr, xd, eps)) == repr(ks)
