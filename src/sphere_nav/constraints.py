@@ -14,7 +14,7 @@ where the margin certainly exceeds ``within``, a value above it),
 ``distances_coarse`` (rows; exact for caps, 1 - the best chart-vertex dot
 for star regions, never below the exact distance), ``nearest_boundary``,
 ``boundary_samples`` (chart vertices for star regions), ``bounding``,
-``cell_caps``, ``kernel_on_sphere`` and ``star_shaped_about``.
+``cell_caps``, ``kernel_on_sphere``, ``star_shaped_about`` and ``exact_bound``.
 
 Spherical distances to a region are ``d_s(x, U) = 1 - sup_{u in U} x.u``;
 for exterior points the supremum is attained on the boundary, so star
@@ -36,7 +36,8 @@ checks that each ray from the kernel crosses the body boundary once; the
 kernel check runs the same crossing test (`crosses_once`) from any other
 proposed kernel point.  An arrangement reads each region's ``bounding`` cap
 and its cell caps once, and answers the smallest signed margin over its
-regions (`union_margin`).
+regions (`union_margin`) and both laws' one band search (`band`); both read
+a region that is its own bounding cap (``exact_bound``) from that cap alone.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from . import geometry as geo
 from .charts import PowerSumChart, RadialTableChart
 from .errors import (
     DomainError,
+    InsideUnsafe,
+    MultipleActiveConstraints,
     NotStarShaped,
     OriginInsideBody,
     TargetInsideUnsafe,
@@ -62,6 +65,7 @@ CROSSING_DIRS = 4096          # ray directions of the single-crossing test
 CROSSING_POINTS = 64          # points before, and past, each ray's boundary point
 CELL_PAD = 1e-12              # roundoff pad on every cell reach
 BAND_SLACK = 1e-9             # distance slack of the band screen
+DEEP_PENETRATION = 1e-6       # beyond this signed penetration a state is rejected
 SEPARATION_SAMPLES = 400      # boundary samples per region in pairwise_separation
 
 
@@ -75,6 +79,8 @@ class ConicCap:
 
     axis: UnitPoint
     xi: float
+    # the region is its own bounding cap, so `bound_margins` is its exact signed margin
+    exact_bound = True
 
     def __post_init__(self):
         if not 0.0 <= self.xi < np.pi:
@@ -371,6 +377,8 @@ class ProjectedStarShape:
     runs the geometric sanity checks.
     """
 
+    exact_bound = False     # `bound_margins` is only a lower bound on its margin
+
     def __init__(self, body: EuclideanStarBody):
         self.body = body
         self.kernel_on_sphere: UnitPoint = geo.normalize(body.kernel_point)
@@ -631,10 +639,10 @@ class ConstraintArrangement:
     Region i lies within angle ``bound_reaches[i]`` of ``bound_centers[i]``
     (its bounding cap; a cap is its own).  Its boundary lies in the caps of
     its cells, the rows of ``cell_centers`` and ``cell_reaches`` whose
-    ``cell_owner`` is i (a cap is one cell).  The conic law and the shadow
-    check read the bounding caps; the star law, `suggest_kappa` and the
-    far-field planner read the cells through `kept_regions` and
-    `screen_entry`.
+    ``cell_owner`` is i (a cap is one cell).  Both laws' band search
+    (`band`), `union_margin` and the shadow check read the bounding caps;
+    `suggest_kappa` reads the cells through `kept_regions`, and the far-field
+    planner solves its entry into them with `screen_entry`.
     """
 
     def __init__(self, sets, kernels=None, delta_declared: float | None = None):
@@ -674,19 +682,40 @@ class ConstraintArrangement:
         xc = coords_of(x)
         return np.array([s.signed_margin(xc) for s in self.sets])
 
+    def _margin(self, i: int, x: np.ndarray, bound: float, within) -> float:
+        """Region i's `distance_warm(x, within)` margin; `bound` where exact."""
+        return float(bound) if self.sets[i].exact_bound else self.sets[i].distance_warm(x, within)[0]
+
     def union_margin(self, x) -> float:
         """The smallest signed margin, signed_margins(x).min() while at most one
-        region holds x.  Regions are queried in the order of max(bound_margins,
+        region holds x.  Regions are visited in the order of max(bound_margins,
         0), a lower bound on each margin that is not negative, until it
         reaches the best margin found."""
         xc = coords_of(x)
-        lower = np.maximum(self.bound_margins(xc), 0.0)
+        bounds = self.bound_margins(xc)
+        lower = np.maximum(bounds, 0.0)
         best = np.inf
         for i in np.argsort(lower, kind="stable").tolist():
             if lower[i] >= best:
                 break
-            best = min(best, self.sets[i].distance_warm(xc, None)[0])
+            best = min(best, self._margin(i, xc, bounds[i], None))
         return float(best)
+
+    def band(self, x: np.ndarray, eps: float):
+        """(i, max(margin_i, 0)) for the eps-band holding x, (None, None) in the
+        far field; only regions with bound_margins <= eps are read.  Raises
+        InsideUnsafe below -DEEP_PENETRATION, MultipleActiveConstraints for two."""
+        bounds = self.bound_margins(x)
+        hits = []
+        for i in np.flatnonzero(bounds <= eps).tolist():
+            sm = self._margin(i, x, bounds[i], eps)
+            if sm < -DEEP_PENETRATION:
+                raise InsideUnsafe(f"state penetrates constraint {i} by {-sm:.3e}")
+            if sm <= eps:
+                hits.append((i, max(sm, 0.0)))
+        if len(hits) > 1:
+            raise MultipleActiveConstraints("state lies in more than one constraint band")
+        return hits[0] if hits else (None, None)
 
     def bound_margins(self, x: np.ndarray) -> np.ndarray:
         """sign(g)(1 - cos g) per region, g = angle(x, bound_centers) - bound_reaches.

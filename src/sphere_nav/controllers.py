@@ -14,12 +14,12 @@ inside the band of width eps around constraint i, and k1 * x_d elsewhere;
 g_i is the validated kernel point of constraint i.
 
 Each law's `control(x)` returns the input u and the active band index (None
-in the far field) from one band search, and is a pure function of (state,
-arrangement, parameters).  The conic law reads its margins from the
-arrangement's bounding caps (`bound_margins`, exact for caps).  The star law
-queries a region's refined distance only where the arrangement's
-`kept_regions` keeps the state for it or the region contains it.  Each
-law's `signed_union_margin(x)` is the smallest signed margin over the
+in the far field) from the arrangement's one band search (`band`), and is a
+pure function of (state, arrangement, parameters).  That search screens with
+the bounding caps, reads a cap's margin from its bound (`exact_bound`),
+queries a star region's refined distance only where its bounding cap is
+within eps, and applies the penetration and uniqueness rules for both laws.
+Each law's `signed_union_margin(x)` is the smallest signed margin over the
 regions, which `simulate.integrate` logs and checks at every logged row: the
 conic law reads it from the bounding caps, the star law from the
 arrangement's `union_margin`, which the parser, the validator and the
@@ -46,17 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .constraints import BAND_SLACK, ConicCap, ConstraintArrangement
+from .constraints import BAND_SLACK, ConstraintArrangement
 from .errors import (
     DomainError,
-    InsideUnsafe,
     KernelAntipodalToTarget,
-    MultipleActiveConstraints,
     TooCloseToBoundary,
 )
 from .geometry import UnitPoint, coords_of
 
-DEEP_PENETRATION = 1e-6   # beyond this signed penetration the state is rejected
 KAPPA_ARC_GRID = 2048     # steps along each reference arc in suggest_kappa
 
 
@@ -105,7 +102,7 @@ class ConicGradientController:
     """Negative-gradient law for arrangements made solely of spherical caps."""
 
     def __init__(self, arr: ConstraintArrangement, params: ConicControllerParams):
-        if not all(isinstance(s, ConicCap) for s in arr.sets):
+        if not all(s.exact_bound for s in arr.sets):
             raise DomainError(
                 "the conic-gradient law is restricted to cap arrangements; "
                 "use the star-piecewise law for projected star shapes")
@@ -115,20 +112,10 @@ class ConicGradientController:
 
     def _band(self, x: np.ndarray):
         """(beta, beta_prime_scaled, active index) at x; far field gives (1, 0, None)."""
-        sm = self.arr.bound_margins(x)
-        i = int(np.argmin(sm))
-        if sm[i] < -DEEP_PENETRATION:
-            raise InsideUnsafe(f"state penetrates constraint {i} by {-sm[i]:.3e}")
-        eps = self.params.epsilon
-        active = np.nonzero(sm <= eps)[0]
-        if active.size > 1:
-            raise MultipleActiveConstraints(
-                "state lies in more than one constraint band")
-        if active.size == 0:
+        i, d_i = self.arr.band(x, self.params.epsilon)
+        if i is None:
             return 1.0, 0.0, None
-        i = int(active[0])
-        d_i = max(float(sm[i]), 0.0)
-        beta, dbeta = smoothstep(d_i, eps)
+        beta, dbeta = smoothstep(d_i, self.params.epsilon)
         theta = float(np.arccos(np.clip(self.arr.bound_centers[i] @ x, -1.0, 1.0)))
         # chain factor from grad_x [1 - cos(theta - xi)] along -g_i
         chain = np.sin(theta - self.arr.bound_reaches[i]) / max(np.sin(theta), 1e-300)
@@ -180,42 +167,12 @@ class StarPiecewiseController:
                 raise KernelAntipodalToTarget(
                     "kernel point antipodal to the target")
         self.kernels = np.array([g.coords for g in arr.kernels])
-        self._cos_bound = np.cos(arr.bound_reaches)
-
-    def _candidates(self, x: np.ndarray) -> list[int]:
-        """Regions whose eps-band may hold x: those with a cell of the
-        arrangement's band screen holding x, and those that contain x."""
-        kept = self.arr.kept_regions(x[None, :], self.params.epsilon)[0]
-        # a state deep inside a star region is farther than eps from its cells
-        inside = ~kept & (self.arr.bound_centers @ x >= self._cos_bound * np.linalg.norm(x))
-        for i in np.flatnonzero(inside):
-            kept[i] = self.arr.sets[i].contains(x)
-        return np.flatnonzero(kept).tolist()
-
-    def _band(self, x: np.ndarray):
-        """(d_i, i) for the active band, or (None, None) in the far field."""
-        eps = self.params.epsilon
-        hits = []
-        for i in self._candidates(x):
-            # exact wherever it is within eps, which is all the band needs
-            sm = self.arr.sets[i].distance_warm(x, eps)[0]
-            if sm < -DEEP_PENETRATION:
-                raise InsideUnsafe(f"state penetrates constraint {i} by {-sm:.3e}")
-            if sm <= eps:
-                hits.append((i, max(sm, 0.0)))
-        if len(hits) > 1:
-            raise MultipleActiveConstraints(
-                "state lies in more than one constraint band")
-        if not hits:
-            return None, None
-        i, d_i = hits[0]
-        return d_i, i
 
     def control(self, x) -> tuple[np.ndarray, int | None]:
         """(u, active band index); the index is None in the far field."""
         xc = coords_of(x)
         k1 = self.params.k1
-        d_i, i = self._band(xc)
+        i, d_i = self.arr.band(xc, self.params.epsilon)
         if i is None:
             return k1 * self.x_d, None
         w = d_i / self.params.epsilon

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -134,7 +135,14 @@ def _integer(value) -> int:
     return num
 
 
-def _number_or_violation(value, what: str, violations: list[str], kind=float):
+def _real(value) -> float:
+    """float(value) for a JSON number; strings and booleans raise ValueError."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _number_or_violation(value, what: str, violations: list[str], kind=_real):
     """kind(value), or None with a violation when value is not a finite number."""
     try:
         num = kind(value)
@@ -305,16 +313,18 @@ def scenario_from_dict(doc: dict, path: str | None = None) -> Scenario:
 
     sim_block = _typed(doc.get("sim", {}), "sim", dict, violations)
     try:
-        sim = SimConfig(dt=float(sim_block.get("dt", 1e-3)),
-                        T=float(sim_block.get("T", 30.0)),
+        sim = SimConfig(dt=_real(sim_block.get("dt", 1e-3)),
+                        T=_real(sim_block.get("T", 30.0)),
                         log_stride=_integer(sim_block.get("log_stride", 1)))
     except (TypeError, ValueError) as exc:
         violations.append(f"sim: {exc}")
         sim = SimConfig()
 
     delta = doc.get("delta")
-    if delta is not None and _number_or_violation(delta, "delta", violations) is None:
-        delta = None
+    if delta is not None:
+        delta = _number_or_violation(delta, "delta", violations)
+        if delta is not None and delta <= 0:
+            violations.append("delta must be positive")
     # no valid region is a violation already; an arrangement needs one
     arrangement = ConstraintArrangement(sets, kernels, delta_declared=delta) if sets else None
 
@@ -597,30 +607,19 @@ def run_scenario(sc: Scenario, parallel: int = 1, out_dir: str | None = None,
     # one controller serves every start: the laws keep no per-run state
     controller = sc.build_controller()
     jobs = [(controller, sc.sim, i, x0) for i, x0 in enumerate(ics)]
-    trajs: dict[int, Trajectory] = {}
-    if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for ic_id, traj in pool.map(_run_one, jobs):
-                trajs[ic_id] = traj
-    else:
-        for job in jobs:
-            ic_id, traj = _run_one(job)
-            trajs[ic_id] = traj
+    pooled = parallel > 1 and len(jobs) > 1
+    with ProcessPoolExecutor(max_workers=parallel) if pooled else nullcontext() as pool:
+        trajs: dict[int, Trajectory] = dict((pool.map if pooled else map)(_run_one, jobs))
 
     results: list[RunResult] = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    long_rows: list[str] = []
     for ic_id in sorted(trajs):
         traj = trajs[ic_id]
         csv_path = None
         if out_dir is not None:
             csv_path = os.path.join(out_dir, f"{sc.name}_ic{ic_id:02d}.csv")
             write_trajectory_csv(traj, csv_path)
-        for k in range(len(traj)):
-            long_rows.append(",".join([
-                _fmt(traj.t[k]), _fmt(traj.d_target[k]),
-                _fmt(traj.d_unsafe[k]), str(ic_id)]))
         results.append(RunResult(
             ic_id=ic_id, x0=[float(v) for v in trajs[ic_id].x[0]],
             verdict=traj.verdict, note=traj.note, safe=traj.safe,
@@ -638,7 +637,9 @@ def run_scenario(sc: Scenario, parallel: int = 1, out_dir: str | None = None,
             fh.write(report.to_json())
         with open(os.path.join(out_dir, f"{sc.name}_plot_long.csv"), "w") as fh:
             fh.write("t,d_target,d_unsafe,ic_id\n")
-            fh.write("\n".join(long_rows) + ("\n" if long_rows else ""))
+            for ic_id, traj in sorted(trajs.items()):
+                fh.writelines(f"{_fmt(t)},{_fmt(d)},{_fmt(u)},{ic_id}\n"
+                              for t, d, u in zip(traj.t, traj.d_target, traj.d_unsafe))
     return report
 
 

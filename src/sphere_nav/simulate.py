@@ -12,7 +12,7 @@ instead, across the discontinuities of the right-hand side rather than
 through them: from a grid state where the law returns no band it jumps
 ahead to one step before the last grid time preceding the first point where
 the geodesic enters an eps-dilated cell cap of some region (the rows of the
-arrangement's `band_screen`, which the star law's band search also runs) or
+arrangement's `band_screen`, entered where `screen_entry` solves) or
 reaches the convergence angle (or to T, if that comes first), and RK4 takes
 over there, so no RK4 stage of a skipped step could have met a band.  Each
 state on such a stretch is computed from the stretch's first state, so no
@@ -165,9 +165,9 @@ class _FarField:
     the geodesic enters the eps-dilated cap of a cell: exactly the band for a
     cap region, and a cover of the band near the cell's piece of boundary
     for a star region (the geodesic meets the boundary before the interior).
-    The caps are the rows of the arrangement's `band_screen`: `kept_regions`
-    tests them, as the star law's band search does, and `screen_entry`
-    solves for the entry.
+    The caps are the rows of the arrangement's `band_screen`, and
+    `screen_entry` alone solves for the entry: a state inside a row enters it
+    at its own angle, so it plans no step.
     """
 
     def __init__(self, controller: Controller):
@@ -180,17 +180,15 @@ class _FarField:
 
         m is one step short of the last grid time before the geodesic enters
         a dilated cell cap or the convergence angle, and at most steps_left;
-        it is 0 when x lies in a dilated cell cap.  One closed-form entry
-        solve covers all caps.  flow(tau) is the state tau after x, computed
-        from x alone.
+        it is 0 when x lies in a dilated cell cap, where the entry solve
+        returns x's own angle.  One closed-form entry solve covers all caps.
+        flow(tau) is the state tau after x, computed from x alone.
         """
-        if self.arr.kept_regions(x[None, :], self.eps).any():
-            return 0, None
         c = float(x @ self.x_d)
         r = x - c * self.x_d
         s = float(np.linalg.norm(r))
         if s == 0.0:
-            # the far field vanishes at -x_d: the antipode is a fixed point
+            # the law found no band and the far field vanishes: a fixed point
             return steps_left, lambda tau: x.copy()
         w = r / s
         theta0 = math.atan2(s, c)

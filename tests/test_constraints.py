@@ -26,8 +26,11 @@ from sphere_nav.constraints import (
     validate_kernel,
     validate_region_disjointness,
 )
+from sphere_nav.controllers import StarControllerParams, StarPiecewiseController
 from sphere_nav.errors import (
     DomainError,
+    InsideUnsafe,
+    MultipleActiveConstraints,
     NotStarShaped,
     OriginInsideBody,
     TargetInsideUnsafe,
@@ -693,6 +696,60 @@ def test_union_margin_is_the_smallest_signed_margin(request, name):
     pts = geo.sample_uniform_many(arr.dimension, 200, np.random.default_rng(8))
     for x in pts:
         assert arr.union_margin(x) == arr.signed_margins(x).min()
+
+
+def _reference_band(arr, x, eps):
+    """The band rule read from the exact signed margins of every region."""
+    margins = arr.signed_margins(x)
+    if (margins < -1e-6).any():
+        return InsideUnsafe
+    hits = np.flatnonzero(margins <= eps)
+    if hits.size > 1:
+        return MultipleActiveConstraints
+    return (None, None) if hits.size == 0 else (int(hits[0]), max(float(margins[hits[0]]), 0.0))
+
+
+@pytest.mark.parametrize("name, law", [("cones7", None), ("star4", None),
+                                       ("star1_feasible", None), ("cones7", "star")],
+                         ids=["cones7", "star4", "star1_feasible", "cones7-star-law"])
+def test_band_matches_exact_margins(request, name, law):
+    # states up to two band widths from each region's boundary, on both sides,
+    # and uniform states: the one band search agrees with the exact margins
+    sc = request.getfixturevalue(name)
+    arr, eps = sc.arrangement, sc.resolved_epsilon()
+    ctrl = sc.build_controller()
+    if law == "star":
+        # the star law steers toward kernel antipodes: drop the cap about -x_d
+        arr = ConstraintArrangement([s for s in arr.sets if s.axis.dot(sc.target) > -0.5])
+        ctrl = StarPiecewiseController(arr, StarControllerParams(
+            k1=sc.k1, kappa=1.0, epsilon=eps, x_d=sc.target))
+    rng = np.random.default_rng(19)
+    width = geo.angle_from_distance(eps)
+    states = [geo.sample_uniform_many(arr.dimension, 40, rng)]
+    for region in arr.sets:
+        for b in region.boundary_samples(30, rng):
+            v = geo.tangent_basis(b) @ rng.normal(size=b.size - 1)
+            states.append(geo.rotate_toward(b, v / np.linalg.norm(v),
+                                            rng.uniform(0.0, 2.0 * width))[None, :])
+    seen = set()
+    for x in np.vstack(states):
+        expected = _reference_band(arr, x, eps)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                arr.band(x, eps)
+            with pytest.raises(expected):
+                ctrl.control(x)
+            seen.add(expected.__name__)
+            continue
+        i, d_i = arr.band(x, eps)
+        assert i == expected[0] and ctrl.control(x)[1] == i
+        seen.add("far" if i is None else "band")
+        if i is not None:
+            if arr.sets[i].exact_bound:
+                assert abs(d_i - expected[1]) <= 1e-15
+            else:
+                assert d_i == expected[1]
+    assert {"far", "band", "InsideUnsafe"} <= seen
 
 
 def test_suggest_epsilon_target_inside():

@@ -103,6 +103,11 @@ MALFORMED_FIELDS = [
     ("initial_conditions", "explicit", [[float("nan"), 0.0, 0.0]], "explicit"),
     (None, "delta", "wide", "delta"),
     (None, "delta", float("nan"), "delta"),
+    (None, "delta", "0.13", "delta"),
+    (None, "delta", True, "delta"),
+    (None, "delta", 0, "delta"),
+    (None, "delta", -1, "delta"),
+    ("controller", "epsilon", True, "epsilon"),
     (None, "controller", "fast", "controller"),
     (None, "constraints", [5], "constraints"),
     (None, "constraints", {"a": 1}, "constraints"),
