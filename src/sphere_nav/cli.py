@@ -68,8 +68,11 @@ def cmd_diagnose(args) -> int:
     sc, err = _load(args.scenario)
     if sc is None:
         return err
-    # diagnose_scenario checks the coordinates (numeric, unit, right count)
-    points = [args.at.split(",")] if args.at else []
+    try:
+        points = [[float(v) for v in args.at.split(",")]] if args.at else []
+    except ValueError:
+        print("runtime failure: --at expects a comma-separated number list", file=sys.stderr)
+        return EXIT_RUNTIME
     report = diagnose_scenario(sc, points=points,
                                equilibria=args.equilibria or not points)
     print(json.dumps(report, sort_keys=True, indent=2))

@@ -38,6 +38,8 @@ proposed kernel point.  An arrangement reads each region's ``bounding`` cap
 and its cell caps once, and answers the smallest signed margin over its
 regions (`union_margin`) and both laws' one band search (`band`); both read
 a region that is its own bounding cap (``exact_bound``) from that cap alone.
+The validators read such regions in closed form too (`pairwise_separation`,
+`_Shadow.members`); only star regions are sampled and marched there.
 """
 
 from __future__ import annotations
@@ -808,20 +810,26 @@ def suggest_epsilon(arr: ConstraintArrangement, x_d, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def pairwise_separation(arr: ConstraintArrangement, seed: int = 0) -> float:
-    """min over i != j of d_s(U_i, U_j), by cross-sampling plus alternating refinement.
+    """min over i != j of d_s(U_i, U_j); +inf for fewer than two sets.
 
-    Sampling over boundary pairs can only over-estimate the true minimum;
-    the alternating nearest-boundary passes tighten the estimate until it is
-    stable well below 1e-4.  Returns +inf for fewer than two sets.
+    Two ``exact_bound`` regions are apart by exactly 1 - cos(max(0,
+    angle(c_i, c_j) - r_i - r_j)) and draw no samples.  Any other pair is
+    cross-sampled, which can only over-estimate the minimum, then refined by
+    alternating nearest-boundary passes until stable well below 1e-4.
     """
     m = len(arr.sets)
     if m < 2:
         return float("inf")
     rng = np.random.default_rng(seed)
+    gaps = (np.arccos(np.clip(arr.bound_centers @ arr.bound_centers.T, -1.0, 1.0))
+            - arr.bound_reaches[:, None] - arr.bound_reaches[None, :])
     best = float("inf")
     for i in range(m):
         for j in range(i + 1, m):
             a_set, b_set = arr.sets[i], arr.sets[j]
+            if a_set.exact_bound and b_set.exact_bound:
+                best = min(best, 1.0 - math.cos(max(0.0, float(gaps[i, j]))))
+                continue
             pa = a_set.boundary_samples(SEPARATION_SAMPLES, rng)
             pb = b_set.boundary_samples(SEPARATION_SAMPLES, rng)
             dots = pa @ pb.T
@@ -905,7 +913,8 @@ class _Shadow:
 
     ``base`` is the target x_d, or -x_d for the (at most one) exceptional
     constraint whose dilation holds -x_d; only the generic ones have a
-    distance ``threshold``.  The dilation lies within ``reach`` of ``center``.
+    distance ``threshold``.  The region lies within ``bound`` of ``center``,
+    its dilation within ``reach``.
     """
 
     def __init__(self, arr: ConstraintArrangement, i: int, xd: np.ndarray,
@@ -915,45 +924,61 @@ class _Shadow:
         attract = s.distance(-xd) > eps
         self.base = xd if attract else -xd
         self.threshold = dilation_threshold(arr, i, xd, eps) if attract else None
-        self.center = arr.bound_centers[i]
-        self.reach = min(np.pi, arr.bound_reaches[i] + geo.angle_from_distance(eps))
+        self.center, self.bound = arr.bound_centers[i], arr.bound_reaches[i]
+        self.reach = min(np.pi, self.bound + geo.angle_from_distance(eps))
 
-    def candidates(self, pts: np.ndarray) -> np.ndarray:
-        """Rows that may be members; every row it drops fails `contains`."""
+    def members(self, pts: np.ndarray) -> np.ndarray:
+        """Shadow membership of each row of pts, the rule of `region_membership`.
+
+        A row must lie past the threshold, short of the far pole, and its ray
+        from the base needs a window (the circle within ``reach`` of the
+        centre) in [t_x - 1e-12, pi).  D_eps of an ``exact_bound`` region is
+        the cap of ``reach``, so a window of positive length decides with the
+        interior test; any other region runs `contains` where one opens.
+        """
         cb = pts @ self.base
-        w = pts - np.outer(cb, self.base)
-        wn = np.linalg.norm(w, axis=1)
-        cand = wn > 1e-12
+        t_x = np.arccos(np.clip(cb, -1.0, 1.0))
+        pole = t_x < 1e-9       # the base point: only the exceptional shadow holds it
+        keep = t_x <= np.pi - 1e-9
         if self.threshold is not None:
-            cand &= (1.0 - cb) >= self.threshold - 1e-12
-        # the great circle through the base and the row passes near the centre
-        proj = np.hypot(float(self.center @ self.base),
-                        (w @ self.center) / np.where(cand, wn, 1.0))
-        return cand & (np.arccos(np.clip(proj, -1.0, 1.0)) <= self.reach + 1e-9)
+            keep &= ~pole & ((1.0 - cb) >= self.threshold - 1e-12)
+        # x(t) = cos t base + sin t w, and x(t).centre = rc cos(t - phi0)
+        w = pts - np.outer(cb, self.base)
+        wn = np.sqrt(np.einsum("ij,ij->i", w, w))
+        cw = (w @ self.center) / np.maximum(wn, 1e-300)
+        ca = float(self.center @ self.base)
+        rc, phi0 = np.hypot(ca, cw), np.arctan2(cw, ca)
+        half = np.arccos(np.clip(math.cos(self.reach) / np.maximum(rc, 1e-15), -1.0, 1.0))
+        length = np.max([np.minimum(np.pi, c + half) - np.maximum(t_x - 1e-12, c - half)
+                         for c in (phi0, phi0 + 2.0 * np.pi, phi0 - 2.0 * np.pi)], axis=0)
+        if self.region.exact_bound:
+            gap = np.arccos(np.clip(pts @ self.center, -1.0, 1.0)) - self.bound
+            interior = (gap < 0.0) & (1.0 - np.cos(gap) > INTERIOR_TOL)
+            return keep & ~interior & (pole | (length > 0.0))
+        out = np.zeros(len(pts), dtype=bool)
+        # the per-row windows round alike to within far less than the slacks
+        opens = (length > -1e-9) & (rc > math.cos(self.reach) - 1e-9)
+        for j in np.flatnonzero(keep & (pole | opens)).tolist():
+            out[j] = self.contains(pts[j])
+        return out
 
     def contains(self, xc: np.ndarray) -> bool:
-        """The exact membership test of `region_membership`."""
+        """The exact test and march of a row that `members` kept, for a region
+        that is not its own bounding cap."""
         if self.region.contains_interior(xc):
-            return False
-        if self.threshold is not None and \
-                geo.spherical_distance(xc, self.base) < self.threshold - 1e-12:
             return False
         t_x = float(np.arccos(np.clip(xc @ self.base, -1.0, 1.0)))
         if t_x < 1e-9:
-            # x coincides with the base point; only reachable in the exceptional case
-            return self.threshold is None
-        if t_x > np.pi - 1e-9:
-            return False
+            return True     # the exceptional shadow's base point
         w = xc - (xc @ self.base) * self.base
-        w = w / np.linalg.norm(w)
-        return self.ray_hits_dilation(w, t_x - 1e-12)
+        return self.ray_hits_dilation(w / np.linalg.norm(w), t_x - 1e-12)
 
     def ray_hits_dilation(self, w: np.ndarray, t_lo: float) -> bool:
         """Does the great-circle ray from the base meet D_eps(U) at some t in [t_lo, pi)?
 
-        Only the windows where the circle passes within ``reach`` of the
-        bounding centre can meet it; none opens when the whole circle stays
-        clear.  The exact distance at t_lo is tested first, then each window
+        Star regions only; a cap's windows decide in `members`.  Only the
+        windows where the circle passes within ``reach`` of the centre can
+        meet it.  The exact distance at t_lo is tested first, then each window
         is marched in steps of 1e-3 on coarse distances.  Those are never
         below the exact ones, so the march can miss a crossing of D_eps(U)
         thinner than the step or than the coarse overstatement: a yes is
@@ -987,9 +1012,9 @@ def region_membership(x, i: int, arr: ConstraintArrangement, x_d,
     interior, be at least as far from the target as the dilated set, and the
     great-circle ray from the target through x must meet the dilated set at
     or beyond x.  For the (at most one) exceptional constraint the same ray
-    test runs from -x_d without the distance threshold.
+    test runs from -x_d without the distance threshold (`_Shadow.members`).
     """
-    return _Shadow(arr, i, coords_of(x_d), eps).contains(coords_of(x))
+    return bool(_Shadow(arr, i, coords_of(x_d), eps).members(coords_of(x)[None, :])[0])
 
 
 @dataclass
@@ -1002,18 +1027,15 @@ class DisjointnessReport:
 
 def validate_region_disjointness(arr: ConstraintArrangement, x_d, eps: float,
                                  samples: int, seed: int = 0) -> DisjointnessReport:
-    """Monte-Carlo check that the per-constraint shadow regions never overlap."""
+    """Monte-Carlo check that the per-constraint shadow regions never overlap;
+    each shadow answers for all samples at once (`_Shadow.members`)."""
     if len(arr.sets) < 2:
         return DisjointnessReport(True, None, 0, 0)
     xd = coords_of(x_d)
     rng = np.random.default_rng(seed)
     pts = geo.sample_uniform_many(arr.dimension, samples, rng)
-
-    membership = np.zeros((samples, len(arr.sets)), dtype=bool)
-    for i in range(len(arr.sets)):
-        shadow = _Shadow(arr, i, xd, eps)
-        for idx in np.nonzero(shadow.candidates(pts))[0]:
-            membership[idx, i] = shadow.contains(pts[idx])
+    membership = np.column_stack([_Shadow(arr, i, xd, eps).members(pts)
+                                  for i in range(len(arr.sets))])
 
     counts = membership.sum(axis=1)
     overlap_idx = np.nonzero(counts >= 2)[0]

@@ -142,6 +142,13 @@ def _real(value) -> float:
     return float(value)
 
 
+def _reals(values) -> np.ndarray:
+    """A JSON array of numbers as floats; like `_real`, it refuses strings and booleans."""
+    if not {str, bool}.isdisjoint(map(type, values)):    # a string maps to strings
+        raise ValueError(f"not an array of numbers: {values!r}")
+    return np.asarray(values, dtype=float)
+
+
 def _number_or_violation(value, what: str, violations: list[str], kind=_real):
     """kind(value), or None with a violation when value is not a finite number."""
     try:
@@ -158,7 +165,7 @@ def _number_or_violation(value, what: str, violations: list[str], kind=_real):
 
 
 def _vector_or_violation(vec, what: str, dim: int, violations: list[str]):
-    arr = _number_or_violation(vec, what, violations, lambda v: np.asarray(v, float))
+    arr = _number_or_violation(vec, what, violations, _reals)
     if arr is not None and arr.shape != (dim + 1,):
         violations.append(f"{what}: expected {dim + 1} coordinates")
         return None
@@ -192,9 +199,9 @@ def _parse_profile(block: dict, what: str, violations: list[str]):
             if form != "power-sum":
                 violations.append(f"{what}: unknown implicit form {form!r}")
                 return None
-            return PowerSumProfile(block["exponents"], block["level"])
+            return PowerSumProfile(_reals(block["exponents"]), _real(block["level"]))
         if kind == "radial-table":
-            return RadialTableProfile(block["values"])
+            return RadialTableProfile(_reals(block["values"]))
     except KeyError as exc:
         violations.append(f"{what}: missing {exc}")
         return None
@@ -213,7 +220,7 @@ def _parse_constraint(block: dict, dim: int, index: int,
         axis = _unit_or_violation(block.get("axis"), f"{what}.axis", dim,
                                   violations)
         try:
-            xi = float(block["xi"])
+            xi = _real(block["xi"])
         except (KeyError, TypeError, ValueError):
             xi = None
         if xi is None or not 0.0 <= xi < np.pi:

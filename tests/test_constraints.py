@@ -659,6 +659,16 @@ def test_pairwise_separation_two_caps_closed_form():
         assert abs(pairwise_separation(arr) - expected) <= 1e-4
 
 
+def test_pairwise_separation_of_caps_is_exact(cones7):
+    # cap pairs are closed form: 1 - cos(max(0, angle - xi1 - xi2))
+    for alpha, xi1, xi2 in ((np.pi / 2, np.pi / 6, np.pi / 6), (2.0, 0.4, 0.3)):
+        a1 = np.array([0.0, 0.0, 1.0])
+        a2 = geo.rotate_toward(a1, [1.0, 0.0, 0.0], alpha)
+        arr = ConstraintArrangement([cap(a1, xi1), cap(a2, xi2)])
+        assert abs(pairwise_separation(arr) - (1.0 - np.cos(alpha - xi1 - xi2))) <= 1e-15
+    assert abs(pairwise_separation(cones7.arrangement) - (1.0 - np.cos(np.pi / 6))) <= 1e-15
+
+
 def test_pairwise_separation_degenerate_cases():
     c = cap([0.0, 0.0, 1.0], 0.5)
     assert pairwise_separation(ConstraintArrangement([c, c])) <= 1e-12
@@ -878,6 +888,59 @@ def test_exceptional_index_uses_antipode_base():
     assert region_membership(x, 0, arr, xd, eps)
     # the antipode itself lies in the exceptional region (outside the cap)
     assert region_membership(-xd, 0, arr, xd, eps)
+
+
+def _cap_shadow_walk(c, x_d, eps, x):
+    """(member, certain) for x in cap c's shadow, by walking the ray from the
+    base through x on a grid of 1e-4 in t and reading the cap's signed margin,
+    sign(g) (1 - cos g) with g = angle(., axis) - xi, at each grid point.
+
+    The margin is 1-Lipschitz along the unit-speed ray, so two hits mean a
+    window of at least 1e-4 and every window longer than 2e-4 has two; the
+    walk is not certain of a ray with one hit or one that comes within 1e-4
+    of the dilation without a hit.
+    """
+    g = c.axis.coords
+    exceptional = c.signed_margin(-x_d) <= eps
+    base = -x_d if exceptional else x_d
+    if c.signed_margin(x) < -constraints.INTERIOR_TOL:
+        return False, True
+    if not exceptional:
+        gap = np.arccos(np.clip(x_d @ g, -1.0, 1.0)) - c.xi - np.arccos(1.0 - eps)
+        if 1.0 - x @ x_d < 1.0 - np.cos(max(0.0, gap)):
+            return False, True
+    t_x = np.arccos(np.clip(x @ base, -1.0, 1.0))
+    w = x - (x @ base) * base
+    w /= np.linalg.norm(w)
+    ts = np.arange(t_x, np.pi, 1e-4)
+    gaps = np.arccos(np.clip((np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)) @ g,
+                             -1.0, 1.0)) - c.xi
+    margins = np.sign(gaps) * (1.0 - np.cos(gaps))
+    hits = int((margins <= eps).sum())
+    return hits >= 2, hits >= 2 or (hits == 0 and margins.min() > eps + 1e-4)
+
+
+def test_cap_shadow_membership_matches_walk_oracle():
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in (2, 3, 2, 3, 2, 3):
+        xd = geo.sample_uniform_many(n, 1, rng)[0]
+        cases.append((xd, cap(geo.sample_uniform_many(n, 1, rng)[0], rng.uniform(0.2, 1.0)),
+                      rng.uniform(0.01, 0.1)))
+    xd, w = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    # the dilation holds -x_d; then one whose reach xi + arccos(1 - eps) passes pi
+    cases.append((xd, cap(geo.rotate_toward(-xd, w, 0.54), 0.5), 0.05))
+    cases.append((xd, cap(geo.rotate_toward(xd, w, 1.2), 2.5), 0.9))
+    for x_d, c, eps in cases:
+        arr = ConstraintArrangement([c])
+        pts = geo.sample_uniform_many(x_d.size - 1, 400, rng)
+        members = _Shadow(arr, 0, x_d, eps).members(pts)
+        assert members.tolist() == [region_membership(p, 0, arr, x_d, eps) for p in pts]
+        walks = np.array([_cap_shadow_walk(c, x_d, eps, p) for p in pts])
+        certain = walks[:, 1]
+        assert certain.mean() > 0.9
+        assert np.array_equal(members[certain], walks[certain, 0])
+        assert members[certain].any() and not members[certain].all()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import sphere_nav.scenario as scenario_module
 from sphere_nav import geometry as geo
 from sphere_nav.cli import main as cli_main
-from sphere_nav.constraints import pairwise_separation
+from sphere_nav.constraints import ConicCap, ConstraintArrangement, pairwise_separation
 from sphere_nav.errors import InvariantViolation, ScenarioParseError
 from sphere_nav.scenario import (
     draw_initial_conditions,
@@ -77,6 +77,19 @@ MALFORMED_REGIONS = [
     (star_block(kernel=[0.05, -2.0, 0.0],
                 profile={"kind": "implicit-radial", "exponents": [0.4, 0.4],
                          "level": 0.5}), "exactly once"),
+    # JSON strings and booleans are not numbers, in vectors and in every scalar
+    ({"type": "cap", "axis": [False, True, False], "xi": 0.4}, "axis"),
+    ({"type": "cap", "axis": [1.0, 0.0, 0.0], "xi": "0.5"}, "xi"),
+    ({"type": "cap", "axis": [1.0, 0.0, 0.0], "xi": True}, "xi"),
+    (star_block(anchor=["0", "-2", "0"]), "anchor"),
+    (star_block(profile={"kind": "implicit-radial", "exponents": ["2", "2"],
+                         "level": 0.25}), "array of numbers"),
+    (star_block(profile={"kind": "implicit-radial", "exponents": "2",
+                         "level": 0.25}), "array of numbers"),
+    (star_block(profile={"kind": "implicit-radial", "exponents": [2.0, 2.0],
+                         "level": "1.5"}), "not a number"),
+    (star_block(profile={"kind": "radial-table", "values": [0.3] * 7 + [True]}),
+     "array of numbers"),
 ]
 
 # (section, key, value, fragment): a value of the wrong JSON type, or one that
@@ -120,6 +133,8 @@ MALFORMED_FIELDS = [
     ("initial_conditions", "count", -3, "count"),
     (None, "name", "../escaped", "name"),
     (None, "name", 5, "name"),
+    (None, "target", ["0", "0", "1"], "target"),
+    ("initial_conditions", "explicit", [[False, True, False]], "explicit"),
 ]
 
 
@@ -224,6 +239,20 @@ def test_validate_cones7_report(cones7):
     # a later validation at another seed measures the separation at its seed
     rep7 = validate_scenario(cones7, samples=500, seed=7)
     assert rep7.delta_measured == pairwise_separation(cones7.arrangement, seed=7)
+
+
+def test_validate_cones7_samples_no_cap(cones7, monkeypatch):
+    # caps are validated in closed form: no boundary sample, nearest boundary
+    # point or coarse distance of a cap is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cap was sampled")
+
+    for name in ("boundary_samples", "nearest_boundary", "distances_coarse"):
+        monkeypatch.setattr(ConicCap, name, refuse)
+    arr = cones7.arrangement
+    fresh = ConstraintArrangement(arr.sets, arr.kernels, delta_declared=arr.delta_declared)
+    rep = validate_scenario(replace(cones7, arrangement=fresh), samples=20_000)
+    assert rep.ok, rep.failures
 
 
 def test_validate_flags_infeasible_band(star1):
