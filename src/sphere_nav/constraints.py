@@ -643,8 +643,9 @@ class ConstraintArrangement:
     its cells, the rows of ``cell_centers`` and ``cell_reaches`` whose
     ``cell_owner`` is i (a cap is one cell).  Both laws' band search
     (`band`), `union_margin` and the shadow check read the bounding caps;
-    `suggest_kappa` reads the cells through `kept_regions`, and the far-field
-    planner solves its entry into them with `screen_entry`.
+    the far-field planner (`screen_entry`) and `suggest_kappa` read where a
+    great circle crosses the cells' rows of `band_screen`, through
+    `geometry.circle_windows`.
     """
 
     def __init__(self, sets, kernels=None, delta_declared: float | None = None):
@@ -662,7 +663,6 @@ class ConstraintArrangement:
         self.cell_centers, self.cell_reaches = cells[0] if len(cells) == 1 else \
             (np.vstack([c for c, _ in cells]), np.concatenate([r for _, r in cells]))
         self.cell_owner = np.repeat(np.arange(len(cells)), [len(r) for _, r in cells])
-        self._first_cell = np.searchsorted(self.cell_owner, np.arange(len(cells)))
         # a None kernel is the region's own kernel point
         self.kernels: list[UnitPoint] = [
             s.kernel_on_sphere if k is None
@@ -742,34 +742,18 @@ class ConstraintArrangement:
                                   self.cell_owner)
         return self._screens[eps]
 
-    def kept_regions(self, pts: np.ndarray, eps: float) -> np.ndarray:
-        """(points, regions) booleans: row x lies within eps of region i's
-        boundary only where a row of `band_screen` that i owns keeps x."""
-        centers, cos_reach, _ = self.band_screen(eps)
-        kept = np.empty((len(pts), len(self)), dtype=bool)
-        # row blocks keep the (points x cells) table near 1 MB
-        table = np.empty((min(len(pts), 64), len(centers)))
-        for a in range(0, len(pts), 64):
-            block = pts[a:a + 64]
-            dots = np.matmul(block, centers.T, out=table[:len(block)])
-            dots /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
-            kept[a:a + 64] = np.logical_or.reduceat(dots >= cos_reach, self._first_cell, axis=1)
-        return kept
-
     def screen_entry(self, x_d: np.ndarray, w: np.ndarray, theta0: float,
                      eps: float) -> float:
         """The largest theta <= theta0 at which cos(theta) x_d + sin(theta) w
-        lies in a row of `band_screen(eps)`, or -inf where none is met."""
+        lies in a row of `band_screen(eps)`, or -inf where none is met; only
+        the rows the circle meets are solved (`geometry.circle_windows`)."""
         centers, cos_reach, _ = self.band_screen(eps)
-        # x(theta).c = R cos(theta - phi) reaches cos_reach, with theta falling
-        # from theta0; the row holds [lo, lo + 2 alpha] mod 2 pi
         a, b = centers @ x_d, centers @ w
-        R = np.hypot(a, b)
-        meets = R > cos_reach
+        meets = np.hypot(a, b) > cos_reach
         if not meets.any():
             return -np.inf
-        alpha = np.arccos(np.clip(cos_reach[meets] / R[meets], -1.0, 1.0))
-        lo = np.arctan2(b[meets], a[meets]) - alpha
+        phi, alpha = geo.circle_windows(a[meets], b[meets], cos_reach[meets])
+        lo = phi - alpha
         lo += 2.0 * np.pi * np.floor((theta0 - lo) / (2.0 * np.pi))
         return float(np.minimum(lo + 2.0 * alpha, theta0).max())
 
@@ -930,11 +914,12 @@ class _Shadow:
     def members(self, pts: np.ndarray) -> np.ndarray:
         """Shadow membership of each row of pts, the rule of `region_membership`.
 
-        A row must lie past the threshold, short of the far pole, and its ray
-        from the base needs a window (the circle within ``reach`` of the
-        centre) in [t_x - 1e-12, pi).  D_eps of an ``exact_bound`` region is
-        the cap of ``reach``, so a window of positive length decides with the
-        interior test; any other region runs `contains` where one opens.
+        A row must lie outside the region's interior, past the threshold and
+        short of the far pole, and its ray from the base needs a window in
+        [t_x - 1e-12, pi) where it lies within ``reach`` of the centre
+        (`geometry.circle_windows`, solved for all rows at once).  D_eps of
+        an ``exact_bound`` region is the cap of ``reach``, so an open window
+        decides; any other region's row goes on to `ray_hits_dilation`.
         """
         cb = pts @ self.base
         t_x = np.arccos(np.clip(cb, -1.0, 1.0))
@@ -942,58 +927,39 @@ class _Shadow:
         keep = t_x <= np.pi - 1e-9
         if self.threshold is not None:
             keep &= ~pole & ((1.0 - cb) >= self.threshold - 1e-12)
-        # x(t) = cos t base + sin t w, and x(t).centre = rc cos(t - phi0)
+        # x(t) = cos t base + sin t w, on the rows of (phi, phi + 2 pi, phi - 2 pi)
         w = pts - np.outer(cb, self.base)
         wn = np.sqrt(np.einsum("ij,ij->i", w, w))
         cw = (w @ self.center) / np.maximum(wn, 1e-300)
-        ca = float(self.center @ self.base)
-        rc, phi0 = np.hypot(ca, cw), np.arctan2(cw, ca)
-        half = np.arccos(np.clip(math.cos(self.reach) / np.maximum(rc, 1e-15), -1.0, 1.0))
-        length = np.max([np.minimum(np.pi, c + half) - np.maximum(t_x - 1e-12, c - half)
-                         for c in (phi0, phi0 + 2.0 * np.pi, phi0 - 2.0 * np.pi)], axis=0)
+        phi, half = geo.circle_windows(float(self.center @ self.base), cw, math.cos(self.reach))
+        mids = phi + np.array([0.0, 2.0 * np.pi, -2.0 * np.pi])[:, None]
+        lo, hi = np.maximum(t_x - 1e-12, mids - half), np.minimum(np.pi, mids + half)
+        opens = hi > lo
+        keep &= pole | opens.any(axis=0)
         if self.region.exact_bound:
             gap = np.arccos(np.clip(pts @ self.center, -1.0, 1.0)) - self.bound
-            interior = (gap < 0.0) & (1.0 - np.cos(gap) > INTERIOR_TOL)
-            return keep & ~interior & (pole | (length > 0.0))
+            return keep & ~((gap < 0.0) & (1.0 - np.cos(gap) > INTERIOR_TOL))
         out = np.zeros(len(pts), dtype=bool)
-        # the per-row windows round alike to within far less than the slacks
-        opens = (length > -1e-9) & (rc > math.cos(self.reach) - 1e-9)
-        for j in np.flatnonzero(keep & (pole | opens)).tolist():
-            out[j] = self.contains(pts[j])
+        for j in np.flatnonzero(keep).tolist():
+            if not self.region.contains_interior(pts[j]):
+                out[j] = pole[j] or self.ray_hits_dilation(
+                    w[j] / wn[j], t_x[j] - 1e-12,
+                    [(lo[k, j], hi[k, j]) for k in np.flatnonzero(opens[:, j]).tolist()])
         return out
 
-    def contains(self, xc: np.ndarray) -> bool:
-        """The exact test and march of a row that `members` kept, for a region
-        that is not its own bounding cap."""
-        if self.region.contains_interior(xc):
-            return False
-        t_x = float(np.arccos(np.clip(xc @ self.base, -1.0, 1.0)))
-        if t_x < 1e-9:
-            return True     # the exceptional shadow's base point
-        w = xc - (xc @ self.base) * self.base
-        return self.ray_hits_dilation(w / np.linalg.norm(w), t_x - 1e-12)
+    def ray_hits_dilation(self, w: np.ndarray, t_lo: float, windows) -> bool:
+        """Does the great-circle ray from the base along the unit tangent w meet
+        D_eps(U) at some t in [t_lo, pi)?
 
-    def ray_hits_dilation(self, w: np.ndarray, t_lo: float) -> bool:
-        """Does the great-circle ray from the base meet D_eps(U) at some t in [t_lo, pi)?
-
-        Star regions only; a cap's windows decide in `members`.  Only the
-        windows where the circle passes within ``reach`` of the centre can
-        meet it.  The exact distance at t_lo is tested first, then each window
-        is marched in steps of 1e-3 on coarse distances.  Those are never
-        below the exact ones, so the march can miss a crossing of D_eps(U)
-        thinner than the step or than the coarse overstatement: a yes is
-        sound, a no is not proof.
+        Star regions only.  It can meet it only in `windows`, the (lo, hi)
+        pieces of [t_lo, pi) within ``reach`` of the centre (`members`).  The
+        exact distance at t_lo is tested first, then each window is marched in
+        steps of 1e-3 on coarse distances.  Those are never below the exact
+        ones, so the march can miss a crossing of D_eps(U) thinner than the
+        step or than the coarse overstatement: a yes is sound, a no is not proof.
         """
         step = 1e-3
-        s, base, center, eps = self.region, self.base, self.center, self.eps
-        rc = float(np.hypot(center @ base, center @ w))
-        phi0 = float(np.arctan2(center @ w, center @ base))
-        half = float(np.arccos(np.clip(np.cos(self.reach) / max(rc, 1e-15), -1.0, 1.0)))
-        windows = [(max(t_lo, c - half), min(np.pi, c + half))
-                   for c in (phi0, phi0 + 2.0 * np.pi, phi0 - 2.0 * np.pi)]
-        windows = [(lo, hi) for lo, hi in windows if hi > lo]
-        if not windows:
-            return False
+        s, base, eps = self.region, self.base, self.eps
 
         def on_ray(ts: np.ndarray) -> np.ndarray:
             return np.outer(np.cos(ts), base) + np.outer(np.sin(ts), w)

@@ -241,14 +241,15 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSugge
     """Repulsion-gain bound from the reference arcs target -> kernel antipode.
 
     For each constraint, samples the arc from x_d to -g_i and refines the
-    distance at the samples the band screen keeps.  Over the portion
-    of the arc inside the band (if any): mu1 is the smallest distance to the
-    region, mu2 the smallest tangential speed toward the target; the per-set
-    bound is max(0, eps - mu1)/(mu1 * mu2).  Arcs that miss the band
+    distance at the samples the band screen keeps (`_arc_kept`).  Over the
+    portion of the arc inside the band (if any): mu1 is the smallest distance
+    to the region, mu2 the smallest tangential speed toward the target; the
+    per-set bound is max(0, eps - mu1)/(mu1 * mu2).  Arcs that miss the band
     contribute zero.  The recommendation is 1.1 * max_i bound, floored at 1e-3.
     """
     xd = UnitPoint(coords_of(x_d))
     lams = np.linspace(0.0, 1.0, KAPPA_ARC_GRID + 1)
+    centers, cos_reach, owner = arr.band_screen(epsilon)
     # a cell cap lies in its region's bounding cap: only points in that cap,
     # dilated like the band screen (+1e-6 over arccos rounding), can be kept
     reach = arr.bound_reaches + math.acos(max(1.0 - epsilon - BAND_SLACK, -1.0)) + 1e-6
@@ -259,11 +260,12 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSugge
         if g.dot(xd) <= -1.0 + 1e-12:
             raise KernelAntipodalToTarget(f"kernel {i} is antipodal to the target")
         pts = geo.slerp_many(xd, g.antipode(), lams)
-        # refine exactly the arc points the band screen keeps for region i;
-        # it drops only points farther than eps from the boundary
         d = np.full(len(pts), np.inf)
         near = np.flatnonzero(pts @ arr.bound_centers[i] >= cos_near[i])
-        for j in near[arr.kept_regions(pts[near], epsilon)[:, i]]:
+        if near.size:
+            rows = owner == i
+            near = near[_arc_kept(centers[rows], cos_reach[rows], xd.coords, -g.coords)[near]]
+        for j in near:
             d[j] = s.distance(pts[j])
         mask = d <= epsilon
         if not mask.any():
@@ -280,3 +282,24 @@ def suggest_kappa(arr: ConstraintArrangement, x_d, epsilon: float) -> KappaSugge
     kappa_bar = max((p.kappa for p in per), default=0.0)
     recommended = max(1.1 * kappa_bar, 1e-3)
     return KappaSuggestion(kappa_bar, recommended, per)
+
+
+def _arc_kept(centers: np.ndarray, cos_reach: np.ndarray, a: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    """Do the points t_j = j theta / KAPPA_ARC_GRID of the arc from a to b lie
+    in a window (`geometry.circle_windows`, widened by 1e-6 over arccos
+    rounding) of some cap centers . x >= cos_reach?  With lo in [0, 2 pi), a
+    window [lo, lo + 2 alpha] meets [0, pi] as itself and 2 pi back."""
+    c = float(a @ b)
+    e = b - c * a
+    e /= np.linalg.norm(e)
+    ca, cb = centers @ a, centers @ e
+    meets = np.hypot(ca, cb) > cos_reach
+    phi, alpha = geo.circle_windows(ca[meets], cb[meets], cos_reach[meets])
+    alpha += 1e-6
+    lo = np.mod(phi - alpha, 2.0 * np.pi)
+    lo, width = np.concatenate([lo, lo - 2.0 * np.pi]), np.tile(2.0 * alpha, 2)
+    m, scale = KAPPA_ARC_GRID + 1, KAPPA_ARC_GRID / math.acos(min(max(c, -1.0), 1.0))
+    first = np.clip(np.ceil(lo * scale), 0, m).astype(np.intp)
+    last = np.maximum(np.clip(np.floor((lo + width) * scale) + 1, 0, m).astype(np.intp), first)
+    return np.cumsum(np.bincount(first, minlength=m + 1) - np.bincount(last, minlength=m + 1))[:m] > 0

@@ -201,6 +201,16 @@ def distance_to_arc(x, segment: GreatCircleArc) -> float:
     return 1.0 - max(xa, xb)
 
 
+def circle_windows(ca, cb, cos_reach):
+    """(phi, alpha) from c.a, c.b: the circle cos(t) a + sin(t) b lies in the
+    cap {x : c.x >= cos_reach} exactly where |t - phi| <= alpha (mod 2 pi),
+    since c.x(t) = R cos(t - phi), R = hypot(c.a, c.b), and meets it only
+    where R > cos_reach.  R = 0 (c orthogonal to the circle) reads as 1e-15."""
+    R = np.hypot(ca, cb)
+    return (np.arctan2(cb, ca),
+            np.arccos(np.clip(cos_reach / np.maximum(R, 1e-15), -1.0, 1.0)))
+
+
 def tangent_basis(x) -> np.ndarray:
     """Deterministic orthonormal basis of T_x(S^n), shape (n+1, n)."""
     xc = coords_of(x)

@@ -855,20 +855,20 @@ def test_shadow_ray_test_query_budget(star4, monkeypatch):
     # a membership answer needs the refined query at the sample plus at most
     # 4 per short window (at most 3 windows), never a crossing search
     refined, per_row = [0], []
-    max_boundary_dot, contains = ProjectedStarShape.max_boundary_dot, _Shadow.contains
+    max_boundary_dot, ray_hits = ProjectedStarShape.max_boundary_dot, _Shadow.ray_hits_dilation
 
     def counted_dot(self, *args, **kwargs):
         refined[0] += 1
         return max_boundary_dot(self, *args, **kwargs)
 
-    def counted_contains(self, xc):
+    def counted_ray_hits(self, *args):
         before = refined[0]
-        answer = contains(self, xc)
+        answer = ray_hits(self, *args)
         per_row.append(refined[0] - before)
         return answer
 
     monkeypatch.setattr(ProjectedStarShape, "max_boundary_dot", counted_dot)
-    monkeypatch.setattr(_Shadow, "contains", counted_contains)
+    monkeypatch.setattr(_Shadow, "ray_hits_dilation", counted_ray_hits)
     arr = ConstraintArrangement(star4.arrangement.sets[:2])
     validate_region_disjointness(arr, star4.target, 0.05, samples=200, seed=3)
     assert per_row and max(per_row) <= 1 + 3 * 4, max(per_row)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sphere_nav import geometry as geo
-from sphere_nav.constraints import ConicCap, ConstraintArrangement
+from sphere_nav.constraints import BAND_SLACK, ConicCap, ConstraintArrangement
 from sphere_nav.controllers import (
+    KAPPA_ARC_GRID,
     ConicControllerParams,
     ConicGradientController,
     StarControllerParams,
@@ -320,3 +321,44 @@ def test_suggest_kappa_bounding_screen_drops_no_kept_point(name, request, monkey
     monkeypatch.setattr(arr, "bound_reaches", np.full(len(arr), np.pi))
     for (xd, eps), ks in cases:
         assert repr(suggest_kappa(arr, xd, eps)) == repr(ks)
+
+
+@pytest.mark.parametrize("name", ["star4", "star1"])
+def test_suggest_kappa_refines_exactly_the_kept_points(name, request, monkeypatch):
+    # the refined arc points are those a row of the band screen that the
+    # region owns keeps by the dot test, and no more than a screen whose
+    # reaches are 2e-6 wider keeps
+    sc = request.getfixturevalue(name)
+    arr = sc.arrangement
+    region_type = type(arr.sets[0])
+    refined = []
+    distance = region_type.distance
+
+    def counted(self, x):
+        refined.append(x.tobytes())
+        return distance(self, x)
+
+    monkeypatch.setattr(region_type, "distance", counted)
+    rng = np.random.default_rng(5)
+    lams = np.linspace(0.0, 1.0, KAPPA_ARC_GRID + 1)
+    checked = 0
+    for xd in [sc.target.coords] + list(geo.sample_uniform_many(sc.dimension, 3, rng)):
+        for eps in (0.02, 0.3):
+            refined.clear()
+            try:
+                suggest_kappa(arr, xd, eps)
+            except KernelAntipodalToTarget:
+                continue
+            centers, cos_reach, owner = arr.band_screen(eps)
+            reach = arr.cell_reaches + np.arccos(1.0 - eps - BAND_SLACK) + 2e-6
+            cos_wide = np.where(reach < np.pi, np.cos(reach), -np.inf)
+            kept, wide = [], 0
+            for i, g in enumerate(arr.kernels):
+                pts = geo.slerp_many(xd, g.antipode(), lams)
+                dots = pts @ centers[owner == i].T
+                hit = (dots >= cos_reach[owner == i]).any(axis=1)
+                kept += [p.tobytes() for p in pts[hit]]
+                wide += int((dots >= cos_wide[owner == i]).any(axis=1).sum())
+            assert refined == kept and len(refined) <= wide
+            checked += len(kept) > 0
+    assert checked >= 2

@@ -154,6 +154,36 @@ def test_distance_to_arc():
         assert abs(geo.distance_to_arc(x, geo.arc(a, a)) - (1.0 - x @ a)) <= 1e-15
 
 
+def test_circle_windows_match_the_dot_test():
+    # on 4,096 points of each circle, "in a window" is the dot test
+    # c.x(t) >= cos_reach wherever the two sides differ by more than 1e-12
+    rng = np.random.default_rng(23)
+    t = np.arange(4096) * (2.0 * np.pi / 4096) - np.pi
+    for n in (2, 3):
+        for _ in range(25):
+            q = np.linalg.qr(rng.normal(size=(n + 1, n + 1)))[0]
+            a, b, e = q[:, 0], q[:, 1], q[:, 2]
+            centers = geo.sample_uniform_many(n, 6, rng)
+            cos_reach = np.cos(rng.uniform(0.0, np.pi, 6))
+            # a cap holding the sphere, a centre orthogonal to the circle
+            # (R = 0) under a cap that misses it and one that holds it, and a
+            # cap the circle touches
+            touch = 0.6 * (np.cos(1.0) * a + np.sin(1.0) * b) + 0.8 * e
+            centers = np.vstack([centers, centers[0], e, e, touch])
+            cos_reach = np.concatenate([cos_reach, [-np.inf, np.cos(0.3), np.cos(2.0),
+                                                    np.hypot(touch @ a, touch @ b)]])
+            ca, cb = centers @ a, centers @ b
+            with np.errstate(all="raise"):
+                phi, alpha = geo.circle_windows(ca, cb, cos_reach)
+            gap = np.abs(np.mod(t[:, None] - phi + np.pi, 2.0 * np.pi) - np.pi)
+            inside = (gap <= alpha) & (np.hypot(ca, cb) > cos_reach)
+            dots = np.outer(np.cos(t), ca) + np.outer(np.sin(t), cb)
+            clear = np.abs(dots - cos_reach) > 1e-12
+            assert np.array_equal(inside[clear], (dots >= cos_reach)[clear])
+            assert alpha[6] == np.pi and alpha[8] == np.pi and alpha[7] == 0.0
+            assert not inside[:, 9].any()
+
+
 def test_normalize():
     p = geo.normalize([3.0, 4.0, 0.0, 0.0])
     assert np.allclose(p.coords, [0.6, 0.8, 0.0, 0.0])

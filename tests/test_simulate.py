@@ -526,7 +526,6 @@ def test_runs_screen_no_cells_per_state(monkeypatch, cones7, star1_feasible):
     def refuse(*args, **kwargs):
         raise RuntimeError("per-state query")
 
-    monkeypatch.setattr(ConstraintArrangement, "kept_regions", refuse)
     monkeypatch.setattr(ConicCap, "distance_warm", refuse)
     # inputs whose runs enter a band
     for sc, j in ((star1_feasible, 0), (cones7, 2)):
@@ -602,6 +601,48 @@ def test_band_screen_keeps_every_band_and_gates_the_far_field(request, name):
         away /= np.maximum(np.linalg.norm(away, axis=2, keepdims=True), 1e-300)
         x = np.cos(width * (1 - 1e-9)) * p + np.sin(width * (1 - 1e-9)) * away
         assert (np.einsum("cbk,ck->cb", x, c) >= cr[:, None] - 1e-12).all()
+
+
+@pytest.mark.parametrize("name", ["cones7", "star4", "star1_feasible"])
+def test_screen_entry_matches_a_walk_down_the_geodesic(request, name):
+    # from states near each region and anywhere, walk theta down from theta0
+    # on a 1e-5 grid with the band screen's dot test: a row holds the entry
+    # theta* to 1e-12, no grid state in (theta* + 1e-9, theta0] is held, and
+    # theta* is -inf exactly when no grid state of the circle is
+    sc = request.getfixturevalue(name)
+    arr, eps, xd = sc.arrangement, sc.resolved_epsilon(), sc.target.coords
+    centers, cos_reach, _ = arr.band_screen(eps)
+    rng = np.random.default_rng(31)
+    width = geo.angle_from_distance(eps)
+    states = [geo.rotate_toward(b, v / np.linalg.norm(v), rng.uniform(0.0, 4.0 * width))
+              for region in arr.sets for b in region.boundary_samples(6, rng)
+              for v in [geo.tangent_basis(b) @ rng.normal(size=b.size - 1)]]
+    steps = np.arange(8192) * 1e-5
+    entries = 0
+    for x in [*states, *geo.sample_uniform_many(sc.dimension, 6, rng)]:
+        c = float(x @ xd)
+        w = x - c * xd
+        w /= np.linalg.norm(w)
+        theta0 = math.atan2(float(x @ w), c)
+        entry = arr.screen_entry(xd, w, theta0, eps)
+        # a row farther than cos_reach from the circle's plane holds none of it
+        rows = np.hypot(centers @ xd, centers @ w) > cos_reach - 1e-9
+        first = None
+        for start in np.arange(0.0, 2.0 * np.pi, steps.size * 1e-5):
+            th = theta0 - start - steps
+            th = th[th >= theta0 - 2.0 * np.pi]
+            pts = np.outer(np.cos(th), xd) + np.outer(np.sin(th), w)
+            held = (pts @ centers[rows].T >= cos_reach[rows]).any(axis=1)
+            if held.any():
+                first = th[np.argmax(held)]
+                break
+        assert (entry == -np.inf) == (first is None)
+        if first is not None:
+            assert theta0 - 2.0 * np.pi < entry <= theta0 and first <= entry + 1e-9
+            x_entry = math.cos(entry) * xd + math.sin(entry) * w
+            assert (centers @ x_entry - cos_reach).max() >= -1e-12
+            entries += 1
+    assert entries >= len(states) // 2
 
 
 @pytest.mark.parametrize("name", ["star4", "star1_feasible"])
