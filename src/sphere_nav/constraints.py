@@ -11,10 +11,10 @@ Both answer the same queries, so no caller branches on the region type:
 ``contains``, ``contains_interior``, ``signed_margin``, ``distance``,
 ``distance_warm(x, within) -> (signed margin, argmax or None)`` (outside,
 where the margin certainly exceeds ``within``, a value above it),
-``distances_coarse`` (rows; exact for caps, 1 - the best chart-vertex dot
-for star regions, never below the exact distance), ``nearest_boundary``,
 ``boundary_samples`` (chart vertices for star regions), ``bounding``,
 ``cell_caps``, ``kernel_on_sphere``, ``star_shaped_about`` and ``exact_bound``.
+Star regions also answer ``distances_coarse`` (rows; 1 - the best chart-vertex
+dot, never below the exact distance), which only their shadow march reads.
 
 Spherical distances to a region are ``d_s(x, U) = 1 - sup_{u in U} x.u``;
 for exterior points the supremum is attained on the boundary, so star
@@ -39,7 +39,8 @@ and its cell caps once, and answers the smallest signed margin over its
 regions (`union_margin`) and both laws' one band search (`band`); both read
 a region that is its own bounding cap (``exact_bound``) from that cap alone.
 The validators read such regions in closed form too (`pairwise_separation`,
-`_Shadow.members`); only star regions are sampled and marched there.
+`_Shadow.members`); no separation is sampled or seeded, and only star
+shadows are marched.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ CROSSING_POINTS = 64          # points before, and past, each ray's boundary poi
 CELL_PAD = 1e-12              # roundoff pad on every cell reach
 BAND_SLACK = 1e-9             # distance slack of the band screen
 DEEP_PENETRATION = 1e-6       # beyond this signed penetration a state is rejected
-SEPARATION_SAMPLES = 400      # boundary samples per region in pairwise_separation
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +115,6 @@ class ConicCap:
     def distance_warm(self, x, within=None):
         """(signed margin, None); the margin is exact, whatever `within`."""
         return self.signed_margin(x), None
-
-    def distances_coarse(self, pts: np.ndarray) -> np.ndarray:
-        """Exact unsigned distances for rows of pts."""
-        gap = np.arccos(np.clip(pts @ self.axis.coords, -1.0, 1.0)) - self.xi
-        return np.where(gap > 0.0, 1.0 - np.cos(gap), 0.0)
-
-    def nearest_boundary(self, x) -> np.ndarray:
-        """Boundary point of the cap closest to x (any one, on ties)."""
-        xc = coords_of(x)
-        g = self.axis.coords
-        w = xc - (xc @ g) * g
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-12:
-            w = geo.tangent_basis(g)[:, 0]
-        else:
-            w = w / nrm
-        return geo.rotate_toward(g, w, self.xi)
 
     def boundary_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
         g = self.axis.coords
@@ -374,9 +357,9 @@ class ProjectedStarShape:
     """Radial projection of a Euclidean star body onto S^n.
 
     Construction charts the boundary into cells with sound bounding caps and
-    projects the chart vertices, which every query, the coarse distances and
-    the boundary samples read; use :func:`build_projected_star`, which also
-    runs the geometric sanity checks.
+    projects the chart vertices, which every query, the coarse distances, the
+    boundary samples and a star pair's separation read; use
+    :func:`build_projected_star`, which also runs the geometric sanity checks.
     """
 
     exact_bound = False     # `bound_margins` is only a lower bound on its margin
@@ -580,10 +563,6 @@ class ProjectedStarShape:
         """Distance to the boundary, negative when inside the region."""
         return self.distance_warm(x, None)[0]
 
-    def nearest_boundary(self, x) -> np.ndarray:
-        """Nearest boundary point (the first of equal maxima)."""
-        return self.max_boundary_dot(x)[1]
-
     def boundary_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Up to `count` distinct projected chart vertices."""
         vert = self._vertices
@@ -670,7 +649,7 @@ class ConstraintArrangement:
             for s, k in zip(self.sets, kernels)
         ]
         self.delta_declared = delta_declared
-        self._delta_measured: dict[int, float] = {}
+        self._delta_measured: float | None = None
         self._screens: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -757,11 +736,11 @@ class ConstraintArrangement:
         lo += 2.0 * np.pi * np.floor((theta0 - lo) / (2.0 * np.pi))
         return float(np.minimum(lo + 2.0 * alpha, theta0).max())
 
-    def delta_measured(self, seed: int = 0) -> float:
-        """pairwise_separation, cached per seed."""
-        if seed not in self._delta_measured:
-            self._delta_measured[seed] = pairwise_separation(self, seed=seed)
-        return self._delta_measured[seed]
+    def delta_measured(self) -> float:
+        """pairwise_separation, computed on the first call and kept."""
+        if self._delta_measured is None:
+            self._delta_measured = pairwise_separation(self)
+        return self._delta_measured
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +754,13 @@ def phi(delta: float) -> float:
     return 1.0 - np.sqrt((2.0 - delta) / 2.0)
 
 
-def suggest_epsilon(arr: ConstraintArrangement, x_d, seed: int = 0) -> float:
-    """0.9 * min(phi(delta_measured), d_s(x_d, U)); requires x_d strictly safe."""
+def suggest_epsilon(arr: ConstraintArrangement, x_d) -> float:
+    """0.9 * min(phi(delta_measured), d_s(x_d, U)); requires x_d strictly safe.
+    A function of the geometry and x_d alone."""
     eps_bar = arr.union_margin(x_d)
     if eps_bar <= 0.0:
         raise TargetInsideUnsafe("target point is not strictly outside the unsafe union")
-    delta = arr.delta_measured(seed=seed)
+    delta = arr.delta_measured()
     bound = eps_bar
     if np.isfinite(delta):
         if delta <= 0.0:
@@ -793,43 +773,59 @@ def suggest_epsilon(arr: ConstraintArrangement, x_d, seed: int = 0) -> float:
 # pairwise separation
 # ---------------------------------------------------------------------------
 
-def pairwise_separation(arr: ConstraintArrangement, seed: int = 0) -> float:
+def pairwise_separation(arr: ConstraintArrangement) -> float:
     """min over i != j of d_s(U_i, U_j); +inf for fewer than two sets.
 
-    Two ``exact_bound`` regions are apart by exactly 1 - cos(max(0,
-    angle(c_i, c_j) - r_i - r_j)) and draw no samples.  Any other pair is
-    cross-sampled, which can only over-estimate the minimum, then refined by
-    alternating nearest-boundary passes until stable well below 1e-4.
+    A function of the geometry alone.  An ``exact_bound`` region is its
+    bounding cap (centre c, reach r).  Two are apart by exactly 1 - cos(max(0,
+    angle(c_i, c_j) - r_i - r_j)); one and any region U by exactly 1 -
+    cos(max(0, arccos(1 - d_s(c, U)) - r)), as the cap's point closest to U
+    lies on the geodesic from c: zero where U holds c or lies within r of it.
+    Two star regions are apart by `_star_separation`.
     """
     m = len(arr.sets)
     if m < 2:
         return float("inf")
-    rng = np.random.default_rng(seed)
-    gaps = (np.arccos(np.clip(arr.bound_centers @ arr.bound_centers.T, -1.0, 1.0))
-            - arr.bound_reaches[:, None] - arr.bound_reaches[None, :])
+    centers, reaches = arr.bound_centers, arr.bound_reaches
+    gaps = (np.arccos(np.clip(centers @ centers.T, -1.0, 1.0))
+            - reaches[:, None] - reaches[None, :])
     best = float("inf")
     for i in range(m):
         for j in range(i + 1, m):
             a_set, b_set = arr.sets[i], arr.sets[j]
             if a_set.exact_bound and b_set.exact_bound:
-                best = min(best, 1.0 - math.cos(max(0.0, float(gaps[i, j]))))
+                gap = float(gaps[i, j])
+            elif a_set.exact_bound or b_set.exact_bound:
+                k, other = (i, b_set) if a_set.exact_bound else (j, a_set)
+                gap = geo.angle_from_distance(other.distance(centers[k])) - reaches[k]
+            else:
+                best = min(best, _star_separation(a_set, b_set))
                 continue
-            pa = a_set.boundary_samples(SEPARATION_SAMPLES, rng)
-            pb = b_set.boundary_samples(SEPARATION_SAMPLES, rng)
-            dots = pa @ pb.T
-            ia, ib = np.unravel_index(np.argmax(dots), dots.shape)
-            a, b = pa[ia], pb[ib]
-            d = 1.0 - float(a @ b)
-            for _ in range(80):
-                a = a_set.nearest_boundary(b)
-                b = b_set.nearest_boundary(a)
-                d_new = 1.0 - float(a @ b)
-                if d - d_new < 1e-13:
-                    d = min(d, d_new)
-                    break
-                d = d_new
-            best = min(best, d)
+            best = min(best, 1.0 - math.cos(max(0.0, gap)))
     return max(best, 0.0)
+
+
+def _star_separation(a_set: ProjectedStarShape, b_set: ProjectedStarShape) -> float:
+    """d_s between the boundaries of two star regions (positive for nested
+    ones): nearest-boundary passes (`max_boundary_dot`) alternate from their
+    closest pair of chart vertices until stable well below 1e-4.  Row blocks
+    keep the (vertices x vertices) dot table near 2 MB."""
+    pa, pb = a_set._vertices, b_set._vertices
+    top, a, b = -np.inf, None, None
+    for r in range(0, len(pa), 64):
+        dots = pa[r:r + 64] @ pb.T
+        ia, ib = np.unravel_index(np.argmax(dots), dots.shape)
+        if dots[ia, ib] > top:
+            top, a, b = dots[ia, ib], pa[r + ia], pb[ib]
+    d = 1.0 - float(a @ b)
+    for _ in range(80):
+        a = a_set.max_boundary_dot(b)[1]
+        b = b_set.max_boundary_dot(a)[1]
+        d_new = 1.0 - float(a @ b)
+        if d - d_new < 1e-13:
+            return min(d, d_new)
+        d = d_new
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -443,8 +443,10 @@ def validate_scenario(sc: Scenario, samples: int = SHADOW_SAMPLES,
                       seed: int = 0) -> ValidationReport:
     """Run every configuration check and collect failures.
 
-    Raises `DomainError`, before any check runs, only for a negative seed or
-    fewer than one Monte-Carlo sample; a failed check never raises.
+    `seed` draws only the Monte-Carlo shadow check's samples; every other
+    check, the separation too, is a function of the scenario alone.  Raises
+    `DomainError`, before any check runs, only for a negative seed or fewer
+    than one Monte-Carlo sample; a failed check never raises.
     """
     if seed < 0 or samples < 1:
         raise DomainError("validation needs a non-negative seed and at least one "
@@ -452,7 +454,7 @@ def validate_scenario(sc: Scenario, samples: int = SHADOW_SAMPLES,
     arr = sc.arrangement
     failures: list[str] = []
 
-    delta = arr.delta_measured(seed=seed)
+    delta = arr.delta_measured()
     phi_delta = None
     if np.isfinite(delta) and delta > 0:
         phi_delta = phi(min(delta, 2.0))
@@ -463,7 +465,7 @@ def validate_scenario(sc: Scenario, samples: int = SHADOW_SAMPLES,
     eps_bar = arr.union_margin(sc.target)
     epsilon = sc.resolved_epsilon()
     try:
-        eps_suggested = suggest_epsilon(arr, sc.target, seed=seed)
+        eps_suggested = suggest_epsilon(arr, sc.target)
     except SphereNavError as exc:
         eps_suggested = float("nan")
         failures.append(f"no band width can be suggested: {exc}")

@@ -1,6 +1,7 @@
 """Constraint regions: caps, projected star bodies, and the validators."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from sphere_nav.errors import (
     TargetInsideUnsafe,
 )
 from sphere_nav.geometry import UnitPoint
+from sphere_nav.scenario import validate_scenario
 
 
 def cap(axis, xi):
@@ -403,25 +405,26 @@ def walk_failures(region, g, samples=WALK_SAMPLES, seed=0, grid=64) -> set[str]:
 @pytest.mark.parametrize("name", ["cap", "star4", "star1_feasible"])
 def test_region_interface(request, name):
     """A cap, a tabulated S^2 star (s2_star4) and a power-sum S^3 star answer
-    the shared region queries consistently."""
+    the shared region queries consistently; the star regions' coarse distances
+    and nearest boundary points agree with them."""
     region = _region(request, name)
     assert region.contains_interior(region.kernel_on_sphere)
     pts, n_inner = _interior_exterior_points(region)
     inside = np.array([region.contains(p) for p in pts])
     assert inside[:n_inner].all() and not inside[n_inner:].any()
 
-    coarse = region.distances_coarse(pts)
-    # the zero set of the coarse pass is the vectorized membership test
-    assert np.array_equal(coarse == 0.0, inside)
-    for x, d_coarse in zip(pts, coarse):
+    for x in pts:
         margin = region.signed_margin(x)
-        d = region.distance(x)
         assert region.distance_warm(x, None)[0] == margin
-        assert d == max(0.0, margin)
-        assert d_coarse >= d - 1e-12
-        if name == "cap":
-            assert abs(d_coarse - d) <= 1e-15
-        assert 1.0 - float(x @ region.nearest_boundary(x)) >= d - 1e-12
+        assert region.distance(x) == max(0.0, margin)
+    if not region.exact_bound:
+        coarse = region.distances_coarse(pts)
+        # the zero set of the coarse pass is the vectorized membership test
+        assert np.array_equal(coarse == 0.0, inside)
+        for x, d_coarse in zip(pts, coarse):
+            d = region.distance(x)
+            assert d_coarse >= d - 1e-12
+            assert 1.0 - float(x @ region.max_boundary_dot(x)[1]) >= d - 1e-12
 
     # off the kernel both stars fail both geodesic checks, as the walks do
     edge = region.boundary_samples(1, np.random.default_rng(11))[0]
@@ -434,9 +437,10 @@ def test_region_interface(request, name):
 @pytest.mark.parametrize("name", ["cap", "star4", "star1_feasible"])
 def test_nearest_boundary_lies_on_boundary(request, name):
     region = _region(request, name)
-    pts, _ = _interior_exterior_points(region)
-    for x in pts:
-        assert abs(region.signed_margin(region.nearest_boundary(x))) <= 1e-9
+    if not region.exact_bound:
+        pts, _ = _interior_exterior_points(region)
+        for x in pts:
+            assert abs(region.signed_margin(region.max_boundary_dot(x)[1])) <= 1e-9
     for b in region.boundary_samples(20, np.random.default_rng(4)):
         assert abs(region.signed_margin(b)) <= 1e-9
 
@@ -673,6 +677,67 @@ def test_pairwise_separation_degenerate_cases():
     c = cap([0.0, 0.0, 1.0], 0.5)
     assert pairwise_separation(ConstraintArrangement([c, c])) <= 1e-12
     assert pairwise_separation(ConstraintArrangement([c])) == float("inf")
+
+
+def test_separation_draws_and_samples_nothing(cones7, star4, monkeypatch):
+    star = star4.arrangement.sets[0]
+    with_cap = ConstraintArrangement([cap(-star.kernel_on_sphere.coords, 0.3), star])
+    fresh = ConstraintArrangement(star4.arrangement.sets)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the separation drew a sample")
+
+    monkeypatch.setattr(constraints.np.random, "default_rng", refuse)
+    for region in (ConicCap, ProjectedStarShape):
+        monkeypatch.setattr(region, "boundary_samples", refuse)
+    for arr in (star4.arrangement, cones7.arrangement, with_cap):
+        pairwise_separation(arr)
+    suggest_epsilon(fresh, star4.target)
+
+
+@pytest.mark.parametrize("name", ["star1_feasible", "star4"])
+def test_pairwise_separation_of_cap_and_star_is_closed_form(request, name):
+    star = request.getfixturevalue(name).arrangement.sets[0]
+    center, reach = star.bounding()
+    n = star.kernel_on_sphere.n
+    rng = np.random.default_rng(24)
+    values = []
+    for _ in range(10):
+        # axes from inside the bounding cap to well past it
+        w = rng.normal(size=n + 1)
+        w -= (w @ center) * center
+        axis = geo.rotate_toward(center, w / np.linalg.norm(w), rng.uniform(0.0, reach + 0.8))
+        xi = rng.uniform(0.01, 0.6)
+        values.append(1.0 - np.cos(max(0.0, np.arccos(1.0 - star.distance(axis)) - xi)))
+        c = cap(axis, xi)
+        for pair in ([c, star], [star, c]):
+            assert abs(pairwise_separation(ConstraintArrangement(pair)) - values[-1]) <= 1e-15
+    assert min(values) == 0.0 and max(values) > 0.0
+
+    # nested: a cap about the kernel inside the star, and one holding the star
+    g = star.kernel_on_sphere.coords
+    assert np.arccos(1.0 + star.signed_margin(g)) > 0.01
+    for c in (cap(g, 0.01), cap(center, reach + 0.2)):
+        assert pairwise_separation(ConstraintArrangement([c, star])) == 0.0
+
+
+def _vertex_separation(a, b) -> float:
+    """1 - the largest dot between the chart vertices of two star regions."""
+    va, vb = (v / np.linalg.norm(v, axis=1, keepdims=True)
+              for v in (lifted_vertices(a), lifted_vertices(b)))
+    return 1.0 - float((va @ vb.T).max())
+
+
+def test_pairwise_separation_of_star_pairs(star4):
+    regions = star4.arrangement.sets
+    for a, b in itertools.combinations(regions, 2):
+        delta = pairwise_separation(ConstraintArrangement([a, b]))
+        assert delta <= _vertex_separation(a, b) + 1e-15
+    reports = [validate_scenario(replace(star4, arrangement=ConstraintArrangement(
+        regions, star4.arrangement.kernels)), samples=200, seed=s) for s in (0, 3, 7)]
+    for rep in reports[1:]:
+        assert (rep.delta_measured, rep.phi_delta, rep.epsilon_suggested) == \
+            (reports[0].delta_measured, reports[0].phi_delta, reports[0].epsilon_suggested)
 
 
 def test_phi_values():
@@ -946,15 +1011,6 @@ def test_cap_shadow_membership_matches_walk_oracle():
 # ---------------------------------------------------------------------------
 # configuration-level numeric properties
 # ---------------------------------------------------------------------------
-
-def test_dilation_memberships_monotone():
-    rng = np.random.default_rng(8)
-    c = cap(geo.sample_uniform_many(3, 1, rng)[0], 0.5)
-    pts = geo.sample_uniform_many(3, 4000, rng)
-    d = c.distances_coarse(pts)
-    counts = [(d <= p).sum() for p in (0.05, 0.1, 0.2, 0.4)]
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
-
 
 def test_band_disjointness_under_phi_budget(cones7):
     # epsilon below phi(delta) keeps the dilated regions pairwise disjoint
